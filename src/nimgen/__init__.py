@@ -70,12 +70,14 @@ from .solver import (
     DNG,
     GEN,
     ClassNimTable,
+    SolveResult,
     brute_nim,
     brute_search,
     dng_options,
     gen_options,
     mex,
     nim_of_game,
+    solve,
     structure_nim,
 )
 from .theory import (
@@ -125,7 +127,7 @@ __all__ = [
     # solver
     "GEN", "DNG", "DEFAULT_BRUTE_CAP", "mex", "gen_options", "dng_options",
     "brute_search", "brute_nim", "ClassNimTable", "structure_nim",
-    "nim_of_game",
+    "SolveResult", "solve", "nim_of_game",
     # theory
     "DeficiencyTable", "deficiency_table", "d_min", "d_min_exhaustive",
     "exhaustive_deficiency_map", "strata", "AbelianSpec", "predict_gen_dih",

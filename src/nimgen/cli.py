@@ -1,9 +1,10 @@
 """Command-line interface: solve games, draw diagrams, verify, tabulate.
 
 Solve and table results are cached in a single JSON file keyed by canonical
-spec string, game variant, and tool version.  The NIMGEN_CACHE environment
-variable overrides the --cache flag.  All output is UTF-8 with LF line
-endings; wall-time fields are the only nondeterministic part.
+spec string, game variant, requested mode, both caps, and tool version.
+The NIMGEN_CACHE environment variable overrides the --cache flag.  All
+output is UTF-8 with LF line endings; wall-time fields are the only
+nondeterministic part.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from .diagram import (
     simplify,
     to_dot,
 )
-from .errors import NimgenError, OutOfScopeError, UnsupportedVariantError
+from .errors import NimgenError, OutOfScopeError
 from .groups import build_group, canonical_spec, parse_group_spec
-from .lattice import DEFAULT_ORDER_CAP, class_edges, intersection_subgroups
-from .solver import DEFAULT_BRUTE_CAP, DNG, GEN, brute_nim, structure_nim
+from .lattice import DEFAULT_ORDER_CAP, intersection_subgroups
+from .solver import DEFAULT_BRUTE_CAP, DNG, GEN, solve, structure_nim
 from .theory import (
     ABELIAN_CATALOG,
     DNG_FAMILY,
@@ -53,6 +54,12 @@ _ODD_SUITE = ("Dih(Z3)", "Dih(Z5)", "Dih(Z7)", "Dih(Z9)", "Dih(Z11)",
 _SUITES = ("theorem", "dng", "even-types", "odd-lemmas", "deficiency", "all")
 
 
+# Value fields of a solve record, with their types; a cache entry is used
+# only if it holds exactly these.
+_CACHED_FIELDS = {"order": int, "nim": int, "mode": str, "intersections": int,
+                  "d_g": int}
+
+
 class _Cache:
     """Single-file JSON result cache, written once at end of run."""
 
@@ -65,8 +72,13 @@ class _Cache:
             loaded = {}
         self.data: dict = loaded if isinstance(loaded, dict) else {}
 
-    def get(self, key: str):
-        return self.data.get(key)
+    def get(self, key: str) -> dict | None:
+        """The entry under ``key``, or None if it is missing or malformed."""
+        hit = self.data.get(key)
+        if (isinstance(hit, dict) and hit.keys() == _CACHED_FIELDS.keys()
+                and all(type(hit[k]) is t for k, t in _CACHED_FIELDS.items())):
+            return hit
+        return None
 
     def put(self, key: str, value: dict) -> None:
         if self.data.get(key) != value:
@@ -94,30 +106,18 @@ def _solve_record(spec_str: str, variant: str, mode: str, *, brute_cap: int,
                     "tool_version": __version__}
     try:
         parsed = parse_group_spec(spec_str)
-        key = f"{canonical_spec(parsed)}|{variant}|{__version__}"
+        key = (f"{canonical_spec(parsed)}|{variant}|{mode}|{brute_cap}|"
+               f"{order_cap}|{__version__}")
         hit = cache.get(key) if cache is not None else None
-        if isinstance(hit, dict):
+        if hit is not None:
             record.update(hit)
         else:
             g = build_group(parsed)
-            if g.order < 2:
-                raise OutOfScopeError(
-                    "generation games need a group of order at least 2")
-            lat = intersection_subgroups(g, order_cap=order_cap)
-            d_g = deficiency_table(g, lat, class_edges(lat, g)).d_g
-            used = mode
-            if mode == "auto":
-                used = "brute" if (variant == DNG or g.order <= brute_cap) \
-                    else "structure"
-            if used == "structure":
-                if variant == DNG:
-                    raise UnsupportedVariantError(
-                        "the structure solver handles the achievement game only")
-                nim = structure_nim(g, lat).game_nim
-            else:
-                nim = brute_nim(g, variant, brute_cap=brute_cap)
-            fields = {"order": g.order, "nim": nim, "mode": used,
-                      "intersections": len(lat.intersections), "d_g": d_g}
+            result = solve(g, variant, mode, brute_cap=brute_cap,
+                           order_cap=order_cap)
+            fields = {"order": g.order, "nim": result.nim, "mode": result.mode,
+                      "intersections": len(result.lattice.intersections),
+                      "d_g": result.d_g}
             record.update(fields)
             if cache is not None:
                 cache.put(key, fields)

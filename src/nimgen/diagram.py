@@ -96,73 +96,36 @@ def simplify(d: StructureDigraph | SimplifiedDiagram, *,
     """Merge vertices with equal types and equal option-type profiles.
 
     The profile of a vertex is the set of its option types together with its
-    own type, so edges between same-type vertices never block a merge.
-    Merging repeats until no pair qualifies; the result does not depend on
-    merge order, which ``rng`` can shuffle for testing.  Self-loops created
-    by merging are dropped from the output.
+    own type, so edges between same-type vertices never block a merge.  A
+    merge changes no vertex's type or profile, so merging pairs until none
+    qualifies ends at the partition by (type, profile), which is computed
+    here in one pass.  The result does not depend on merge order; ``rng`` is
+    ignored.  Self-loops created by merging are dropped from the output.
     """
     if isinstance(d, SimplifiedDiagram):
-        types = [v.vtype for v in d.vertices]
-        members = [list(v.members) for v in d.vertices]
-        key_of = {i: i for i in range(len(d.vertices))}
-        raw_edges = set(d.edges)
+        members = [v.members for v in d.vertices]
+        edges = set(d.edges)
     else:
-        types = [v.vtype for v in d.vertices]
-        members = [[v.cid] for v in d.vertices]
+        members = [(v.cid,) for v in d.vertices]
         key_of = {v.cid: i for i, v in enumerate(d.vertices)}
-        raw_edges = {(key_of[a], key_of[b]) for a, b in d.edges}
+        edges = {(key_of[a], key_of[b]) for a, b in d.edges}
+    types = [v.vtype for v in d.vertices]
+    profiles = [{t} for t in types]
+    for a, b in edges:
+        profiles[a].add(types[b])
 
-    alive = [True] * len(types)
-    succ: list[set[int]] = [set() for _ in types]
-    pred: list[set[int]] = [set() for _ in types]
-    for a, b in raw_edges:
-        succ[a].add(b)
-        pred[b].add(a)
-
-    def profile(i: int) -> frozenset[TypeTriple]:
-        return frozenset(types[j] for j in succ[i]) | {types[i]}
-
-    def merge(keep: int, drop: int) -> None:
-        members[keep].extend(members[drop])
-        alive[drop] = False
-        for j in list(succ[drop]):
-            pred[j].discard(drop)
-            succ[keep].add(keep if j == drop else j)
-            pred[keep if j == drop else j].add(keep)
-        for j in list(pred[drop]):
-            succ[j].discard(drop)
-            succ[j].add(keep)
-            pred[keep].add(j)
-        succ[drop] = set()
-        pred[drop] = set()
-
-    changed = True
-    while changed:
-        changed = False
-        live = [i for i in range(len(types)) if alive[i]]
-        if rng is not None:
-            rng.shuffle(live)
-        for ai in range(len(live)):
-            if changed:
-                break
-            for bi in range(ai + 1, len(live)):
-                a, b = live[ai], live[bi]
-                if types[a] != types[b]:
-                    continue
-                if profile(a) == profile(b):
-                    merge(a, b)
-                    changed = True
-                    break
-
-    order = sorted((i for i in range(len(types)) if alive[i]),
-                   key=lambda i: (types[i], sorted(members[i])))
-    new_index = {i: k for k, i in enumerate(order)}
-    out_vertices = tuple(
-        MergedVertex(vtype=types[i], members=tuple(sorted(members[i])))
-        for i in order)
-    out_edges = sorted(
-        (new_index[a], new_index[b])
-        for a in order for b in succ[a] if a != b)
+    blocks: dict[tuple, list[int]] = {}
+    for i, t in enumerate(types):
+        blocks.setdefault((t, frozenset(profiles[i])), []).append(i)
+    merged = sorted(
+        (types[block[0]], tuple(sorted(c for i in block for c in members[i])),
+         block)
+        for block in blocks.values())
+    home = {i: k for k, (_, _, block) in enumerate(merged) for i in block}
+    out_vertices = tuple(MergedVertex(vtype=t, members=cids)
+                         for t, cids, _ in merged)
+    out_edges = sorted({(home[a], home[b]) for a, b in edges
+                        if home[a] != home[b]})
     terminal_homes = [v for v in out_vertices if TERMINAL in v.members]
     if len(terminal_homes) != 1 or len(terminal_homes[0].members) != 1:
         raise InternalInvariantError("terminal class merged with another class")

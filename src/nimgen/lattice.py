@@ -8,10 +8,11 @@ is identified by the sentinel ``TERMINAL``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
-from .errors import CapacityError, InternalInvariantError
-from .groups import GroupTable, generated_subgroup, iter_mask
+from .errors import CapacityError
+from .groups import GroupTable, generated_subgroup
 
 TERMINAL = -1  # class id of the terminal class (the whole group)
 
@@ -58,19 +59,38 @@ class IntersectionLattice:
     """All intersections of maximal subgroups, sorted by size.
 
     ``intersections[frattini_index]`` is the Frattini subgroup, the minimum
-    of the family.  ``containment[i][j]`` says carrier i is a subset of
-    carrier j.
+    of the family.  ``options[cid]`` lists the option classes of class
+    ``cid``; it and ``containment`` are computed on first use.
     """
 
-    group_order: int
+    group: GroupTable = field(repr=False, compare=False)
     intersections: tuple[int, ...]
     frattini_index: int
-    containment: tuple[tuple[bool, ...], ...]
     maximals: tuple[int, ...]
+
+    @property
+    def group_order(self) -> int:
+        return self.group.order
 
     @property
     def frattini_mask(self) -> int:
         return self.intersections[self.frattini_index]
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        """Class id of every intersection subgroup, by mask."""
+        return {m: i for i, m in enumerate(self.intersections)}
+
+    @cached_property
+    def containment(self) -> tuple[tuple[bool, ...], ...]:
+        """``containment[i][j]`` says carrier i is a subset of carrier j."""
+        return tuple(tuple(a | b == b for b in self.intersections)
+                     for a in self.intersections)
+
+    @cached_property
+    def options(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(class_options(self, self.group, cid)
+                     for cid in range(len(self.intersections)))
 
     def carrier(self, cid: int) -> int:
         if cid == TERMINAL:
@@ -79,29 +99,26 @@ class IntersectionLattice:
 
 
 def intersection_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> IntersectionLattice:
-    """Close the maximal subgroups under pairwise intersection."""
+    """Close the maximal subgroups under intersection.
+
+    Every member is an intersection of maximals, so intersecting each new
+    member with each maximal reaches the whole family.  The smallest member
+    is the intersection of all maximals, the Frattini subgroup.
+    """
     maxi = maximal_subgroups(g, order_cap=order_cap)
     members = set(maxi)
     frontier = list(members)
     while frontier:
         a = frontier.pop()
-        for b in list(members):
+        for b in maxi:
             c = a & b
             if c not in members:
                 members.add(c)
                 frontier.append(c)
-    ordered = tuple(sorted(members, key=lambda m: (m.bit_count(), m)))
-    frattini = ordered[0]
-    for m in ordered:
-        if frattini | m != m:
-            raise InternalInvariantError("intersection family has no unique minimum")
-    containment = tuple(
-        tuple(a | b == b for b in ordered) for a in ordered)
     return IntersectionLattice(
-        group_order=g.order,
-        intersections=ordered,
+        group=g,
+        intersections=tuple(sorted(members, key=lambda m: (m.bit_count(), m))),
         frattini_index=0,
-        containment=containment,
         maximals=tuple(sorted(maxi, key=lambda m: (m.bit_count(), m))),
     )
 
@@ -109,24 +126,15 @@ def intersection_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP)
 def ceil_class(lat: IntersectionLattice, g: GroupTable, mask: int) -> int:
     """Class of a position: the smallest intersection subgroup containing it.
 
-    Returns ``TERMINAL`` when no intersection subgroup contains the subset,
+    That subgroup is the meet of the maximal subgroups containing the
+    subset.  Returns ``TERMINAL`` when no maximal subgroup contains it,
     which happens exactly when the subset generates the whole group.
     """
-    members = lat.intersections
-    for idx, member in enumerate(members):
-        if mask | member == member:
-            # The family is intersection-closed, so the first superset found
-            # in size order must be contained in every other superset.
-            for j in range(idx + 1, len(members)):
-                mj = members[j]
-                if mask | mj == mj and not lat.containment[idx][j]:
-                    raise InternalInvariantError(
-                        "smallest containing intersection subgroup is not unique")
-            return idx
-    if generated_subgroup(g, mask) != g.full_mask:
-        raise InternalInvariantError(
-            "non-generating subset contained in no intersection subgroup")
-    return TERMINAL
+    meet = -1
+    for m in lat.maximals:
+        if mask | m == m:
+            meet &= m
+    return TERMINAL if meet == -1 else lat.index[meet]
 
 
 def class_parity(lat: IntersectionLattice, cid: int) -> int:
@@ -140,25 +148,19 @@ def class_options(lat: IntersectionLattice, g: GroupTable, cid: int) -> tuple[in
     """Classes reachable from this one by adding a single element.
 
     Probing with the carrier itself is enough: two positions in one class
-    reach the same other classes.  The result never contains ``cid``; moves
-    that stay in the class are handled by the solver.
+    reach the same other classes.  Every probe adds an element outside the
+    carrier, so the result never contains ``cid``; moves that stay in the
+    class are handled by the solver.  Solvers read these lists from
+    ``IntersectionLattice.options``.
     """
     if cid == TERMINAL:
         raise ValueError("the terminal class has no options")
     carrier = lat.intersections[cid]
-    out = set()
-    for x in range(g.order):
-        if not (carrier >> x) & 1:
-            out.add(ceil_class(lat, g, carrier | (1 << x)))
-    if cid in out:
-        raise InternalInvariantError("a class listed itself as an option")
-    return tuple(sorted(out))
+    return tuple(sorted({ceil_class(lat, g, carrier | (1 << x))
+                         for x in range(g.order) if not (carrier >> x) & 1}))
 
 
 def class_edges(lat: IntersectionLattice, g: GroupTable) -> tuple[tuple[int, int], ...]:
     """All (class, option class) edges of the structure digraph."""
-    edges = []
-    for cid in range(len(lat.intersections)):
-        for opt in class_options(lat, g, cid):
-            edges.append((cid, opt))
-    return tuple(edges)
+    return tuple((cid, opt) for cid, opts in enumerate(lat.options)
+                 for opt in opts)

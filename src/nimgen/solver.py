@@ -22,7 +22,7 @@ from .lattice import (
     DEFAULT_ORDER_CAP,
     TERMINAL,
     IntersectionLattice,
-    class_options,
+    class_edges,
     class_parity,
     intersection_subgroups,
 )
@@ -138,7 +138,7 @@ def structure_nim(g: GroupTable, lat: IntersectionLattice,
         key=lambda i: (-lat.intersections[i].bit_count(), lat.intersections[i]))
     per: dict[int, tuple[int, int]] = {TERMINAL: (0, 0)}
     for cid in order_ids:
-        opts = class_options(lat, g, cid)
+        opts = lat.options[cid]
         pools = ({per[j][0] for j in opts}, {per[j][1] for j in opts})
         q = class_parity(lat, cid)
         # A move adds one element, so every option of a position has the
@@ -157,29 +157,52 @@ def structure_nim(g: GroupTable, lat: IntersectionLattice,
     return ClassNimTable(per_class=per, game_nim=per[lat.frattini_index][0])
 
 
-def nim_of_game(spec: GroupSpec | str, variant: Variant = GEN, mode: str = "auto", *,
-                brute_cap: int = DEFAULT_BRUTE_CAP,
-                order_cap: int = DEFAULT_ORDER_CAP) -> int:
-    """Nim value of a game given a group spec.
+@dataclass(frozen=True)
+class SolveResult:
+    """One solved game: its value, the solver used, and the group's lattice."""
+
+    nim: int
+    mode: str
+    lattice: IntersectionLattice
+    d_g: int
+
+
+def solve(g: GroupTable, variant: Variant = GEN, mode: str = "auto", *,
+          brute_cap: int = DEFAULT_BRUTE_CAP,
+          order_cap: int = DEFAULT_ORDER_CAP) -> SolveResult:
+    """Nim value of a game on ``g``, with the lattice and d(G) of the group.
 
     ``auto`` uses brute force for small groups and for the avoidance game,
-    and the structure solver for everything else.
+    and the structure solver for everything else.  The lattice is built in
+    every mode, so ``order_cap`` bounds brute-force solves as well.
     """
-    g = build_group(spec)
+    from .theory import deficiency_table  # theory imports this module
+
     if g.order < 2:
-        raise ValueError("games are played on groups of order at least 2")
-    if mode not in ("auto", "brute", "structure"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ValueError("generation games need a group of order at least 2")
     if mode == "auto":
         if variant == DNG and g.order > brute_cap:
             raise UnsupportedVariantError(
                 "the avoidance game is only solvable by brute force, "
                 f"and order {g.order} exceeds the brute cap {brute_cap}")
         mode = "brute" if (variant == DNG or g.order <= brute_cap) else "structure"
-    if mode == "brute":
-        return brute_nim(g, variant, brute_cap=brute_cap)
-    if variant == DNG:
+    elif mode not in ("brute", "structure"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "structure" and variant == DNG:
         raise UnsupportedVariantError(
             "the structure solver only handles the achievement game")
     lat = intersection_subgroups(g, order_cap=order_cap)
-    return structure_nim(g, lat).game_nim
+    if mode == "brute":
+        nim = brute_nim(g, variant, brute_cap=brute_cap)
+    else:
+        nim = structure_nim(g, lat).game_nim
+    d_g = deficiency_table(g, lat, class_edges(lat, g)).d_g
+    return SolveResult(nim=nim, mode=mode, lattice=lat, d_g=d_g)
+
+
+def nim_of_game(spec: GroupSpec | str, variant: Variant = GEN, mode: str = "auto", *,
+                brute_cap: int = DEFAULT_BRUTE_CAP,
+                order_cap: int = DEFAULT_ORDER_CAP) -> int:
+    """Nim value of a game given a group spec; see ``solve``."""
+    return solve(build_group(spec), variant, mode, brute_cap=brute_cap,
+                 order_cap=order_cap).nim

@@ -37,7 +37,7 @@ from .lattice import (
     class_parity,
     intersection_subgroups,
 )
-from .solver import DEFAULT_BRUTE_CAP, GEN, Variant, brute_nim, structure_nim
+from .solver import DEFAULT_BRUTE_CAP, GEN, Variant, solve
 
 if TYPE_CHECKING:
     from .diagram import StructureDigraph
@@ -324,17 +324,13 @@ def verify_family(specs: Sequence[AbelianSpec], variant: Variant = GEN, *,
             continue
         try:
             a_table = a.to_group()
-            dih = dihedralize(a_table)
-            lat = intersection_subgroups(dih, order_cap=order_cap)
-            d_dih = deficiency_table(dih, lat, class_edges(lat, dih)).d_g
-            if variant == GEN:
-                computed = structure_nim(dih, lat).game_nim
-            else:
-                computed = brute_nim(dih, variant, brute_cap=brute_cap)
+            result = solve(dihedralize(a_table), variant,
+                           "structure" if variant == GEN else "brute",
+                           brute_cap=brute_cap, order_cap=order_cap)
             a_lat = intersection_subgroups(a_table, order_cap=order_cap)
             # The abelian part keeps its element indices inside the
             # dihedralization, so Frattini carriers compare directly.
-            frattini_match = a_lat.frattini_mask == lat.frattini_mask
+            frattini_match = a_lat.frattini_mask == result.lattice.frattini_mask
         except CapacityError as exc:
             records.append(FamilyRecord(
                 spec=spec_str, variant=variant, predicted=predicted, computed=None,
@@ -342,9 +338,9 @@ def verify_family(specs: Sequence[AbelianSpec], variant: Variant = GEN, *,
                 note=str(exc)))
             continue
         records.append(FamilyRecord(
-            spec=spec_str, variant=variant, predicted=predicted, computed=computed,
-            d_dih=d_dih, d_a=a.rank, frattini_match=frattini_match,
-            agree=computed == predicted))
+            spec=spec_str, variant=variant, predicted=predicted,
+            computed=result.nim, d_dih=result.d_g, d_a=a.rank,
+            frattini_match=frattini_match, agree=result.nim == predicted))
     return FamilyReport(records=tuple(records))
 
 

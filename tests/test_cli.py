@@ -231,18 +231,49 @@ def test_cache_round_trip(tmp_path, capsys):
     for key in ("nim", "order", "intersections", "d_g", "mode"):
         assert a[key] == b[key] == c[key]
     stored = json.loads(cache.read_text())
-    assert f"Dih(Z5)|GEN|{__version__}" in stored
+    assert f"Dih(Z5)|GEN|auto|16|200|{__version__}" in stored
 
 
 def test_cache_hits_across_spellings(tmp_path, capsys):
     cache = tmp_path / "cache.json"
     run(capsys, "solve", "Z9xZ3", "--cache", str(cache))
     stored = json.loads(cache.read_text())
-    assert list(stored) == [f"Z3xZ9|GEN|{__version__}"]
+    assert list(stored) == [f"Z3xZ9|GEN|auto|16|200|{__version__}"]
     # canonically equal spelling reuses the entry rather than adding one
     run(capsys, "solve", "Z3xZ9", "--cache", str(cache))
     stored = json.loads(cache.read_text())
-    assert list(stored) == [f"Z3xZ9|GEN|{__version__}"]
+    assert list(stored) == [f"Z3xZ9|GEN|auto|16|200|{__version__}"]
+
+
+def test_cache_malformed_entry_is_a_miss(tmp_path, capsys):
+    cache = tmp_path / "cache.json"
+    fresh = run(capsys, "solve", "Dih(Z5)", "--cache", str(cache),
+                "--format", "json")
+    good = json.loads(cache.read_text())
+    (key, entry), = good.items()
+    for bad in ({"order": 10}, {**entry, "nim": "3"}, {**entry, "d_g": None},
+                [entry]):
+        cache.write_text(json.dumps({key: bad}), encoding="utf-8")
+        code, out, _ = run(capsys, "solve", "Dih(Z5)", "--cache", str(cache),
+                           "--format", "json")
+        assert code == 0, bad
+        assert normalize_json(out) == normalize_json(fresh[1]), bad
+        assert json.loads(cache.read_text()) == good, bad
+
+
+def test_cache_key_holds_mode_and_caps(tmp_path, capsys):
+    cache = tmp_path / "cache.json"
+    run(capsys, "solve", "Dih(Z5)", "--mode", "brute", "--cache", str(cache))
+    code, out, _ = run(capsys, "solve", "Dih(Z5)", "--mode", "structure",
+                       "--cache", str(cache), "--format", "json")
+    assert code == 0
+    assert json.loads(out)[0]["mode"] == "structure"
+    # a smaller cap is enforced, not answered from the entry made under
+    # the default caps
+    code, out, _ = run(capsys, "solve", "Dih(Z5)", "--mode", "structure",
+                       "--order-cap", "8", "--cache", str(cache))
+    assert code == 2
+    assert "capped at order 8" in out
 
 
 def test_cache_env_overrides_flag(tmp_path, capsys, monkeypatch):

@@ -100,11 +100,18 @@ def test_ceil_examples():
 
 
 def test_ceil_is_tightest_superset():
-    # the chosen class carrier contains the closure and no smaller one does
-    for spec in ("Dih(Z6)", "Z12", "Dih(Z2xZ2)"):
+    # the chosen class carrier contains the closure and no smaller one does,
+    # on sampled masks and on every option probe the solvers make
+    sampled = ("Dih(Z6)", "Z12", "Dih(Z2xZ2)", "Dih(Z3xZ3)", "Dih(Z2xZ4)",
+               "Z2xZ2xZ2xZ2")
+    for spec in dict.fromkeys(sampled + ng.EXTENDED_CATALOG):
         g = support.group(spec)
         lat = support.lattice(spec)
-        for probe in range(0, 1 << g.order, 7):
+        probes = {carrier | (1 << x) for carrier in lat.intersections
+                  for x in range(g.order)}
+        if spec in sampled:
+            probes.update(range(0, 1 << g.order, 7))
+        for probe in probes:
             cid = ng.ceil_class(lat, g, probe)
             closure = ng.generated_subgroup(g, probe)
             if cid == ng.TERMINAL:
