@@ -1,7 +1,8 @@
 """Command-line interface: solve games, draw diagrams, verify, tabulate.
 
 Solve and table results are cached in a single JSON file keyed by canonical
-spec string, game variant, requested mode, both caps, and tool version.
+spec string, game variant, requested mode, both caps, and tool version, plus
+the SHA-256 of every table file the spec reads.
 The NIMGEN_CACHE environment variable overrides the --cache flag.  All
 output is UTF-8 with LF line endings; wall-time fields are the only
 nondeterministic part.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -26,8 +28,9 @@ from .diagram import (
     simplify,
     to_dot,
 )
-from .errors import NimgenError, OutOfScopeError
-from .groups import build_group, canonical_spec, parse_group_spec
+from .errors import NimgenError, OutOfScopeError, TableFormatError
+from .groups import (Dih, GroupSpec, Product, TableFile, build_group,
+                     canonical_spec, parse_group_spec)
 from .lattice import DEFAULT_ORDER_CAP, intersection_subgroups
 from .solver import DEFAULT_BRUTE_CAP, DNG, GEN, solve, structure_nim
 from .theory import (
@@ -91,12 +94,31 @@ class _Cache:
         if self.path.parent != Path("."):
             self.path.parent.mkdir(parents=True, exist_ok=True)
         text = json.dumps(self.data, indent=2, sort_keys=True) + "\n"
-        self.path.write_text(text, encoding="utf-8")
+        # A crash mid-write leaves the old file whole, not a truncated one.
+        tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, self.path)
 
 
 def _open_cache(flag_value: str | None) -> _Cache | None:
     path = os.environ.get("NIMGEN_CACHE") or flag_value
     return _Cache(path) if path else None
+
+
+def _table_digests(spec: GroupSpec) -> str:
+    """``|<sha256>`` for each table file the spec reads, left to right."""
+    if isinstance(spec, TableFile):
+        import hashlib  # loads OpenSSL (MBs of memory): only cached table specs
+        path = Path(spec.path)
+        try:
+            return "|" + hashlib.sha256(path.read_bytes()).hexdigest()
+        except OSError as exc:
+            raise TableFormatError(f"cannot read table file {path}: {exc}") from exc
+    if isinstance(spec, Product):
+        return _table_digests(spec.left) + _table_digests(spec.right)
+    if isinstance(spec, Dih):
+        return _table_digests(spec.inner)
+    return ""
 
 
 def _solve_record(spec_str: str, variant: str, mode: str, *, brute_cap: int,
@@ -106,9 +128,11 @@ def _solve_record(spec_str: str, variant: str, mode: str, *, brute_cap: int,
                     "tool_version": __version__}
     try:
         parsed = parse_group_spec(spec_str)
-        key = (f"{canonical_spec(parsed)}|{variant}|{mode}|{brute_cap}|"
-               f"{order_cap}|{__version__}")
-        hit = cache.get(key) if cache is not None else None
+        hit = None
+        if cache is not None:
+            key = (f"{canonical_spec(parsed)}|{variant}|{mode}|{brute_cap}|"
+                   f"{order_cap}|{__version__}{_table_digests(parsed)}")
+            hit = cache.get(key)
         if hit is not None:
             record.update(hit)
         else:
@@ -206,10 +230,12 @@ def _verify_workspace(spec_str: str, order_cap: int):
 def _suite_checks(suite: str, order_cap: int) -> tuple[list[CheckReport], list[str]]:
     checks: list[CheckReport] = []
     notes: list[str] = []
+    # The even-types and deficiency suites share the SMALL_CATALOG groups.
+    workspace = functools.cache(lambda s: _verify_workspace(s, order_cap))
     if suite in ("even-types", "all"):
         for s in SMALL_CATALOG:
             try:
-                g, lat, nims, _, dt = _verify_workspace(s, order_cap)
+                g, lat, nims, _, dt = workspace(s)
                 if g.order % 2 == 0:
                     checks.append(check_even_type_table(g, lat, dt, nims))
             except NimgenError as exc:
@@ -217,7 +243,7 @@ def _suite_checks(suite: str, order_cap: int) -> tuple[list[CheckReport], list[s
     if suite in ("odd-lemmas", "all"):
         for s in _ODD_SUITE:
             try:
-                g, lat, nims, digraph, dt = _verify_workspace(s, order_cap)
+                g, lat, nims, digraph, dt = workspace(s)
                 checks.append(check_option_deficiency(digraph, dt, subject=s))
                 checks.append(check_odd_case_lemmas(digraph, dt, subject=s))
             except NimgenError as exc:
@@ -225,7 +251,7 @@ def _suite_checks(suite: str, order_cap: int) -> tuple[list[CheckReport], list[s
     if suite in ("deficiency", "all"):
         for s in SMALL_CATALOG:
             try:
-                g, lat, _, _, dt = _verify_workspace(s, order_cap)
+                g, lat, _, _, dt = workspace(s)
                 if g.order <= 12:
                     checks.append(check_deficiency_oracle(g, lat, dt))
             except NimgenError as exc:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import CapacityError
-from .groups import GroupTable, generated_subgroup
+from .groups import GroupTable
 
 TERMINAL = -1  # class id of the terminal class (the whole group)
 
@@ -20,27 +20,54 @@ DEFAULT_ORDER_CAP = 200
 
 
 def all_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> tuple[int, ...]:
-    """Masks of every subgroup, found by join-closing the cyclic subgroups.
+    """Masks of every subgroup, sorted by size, then by mask.
 
-    Starting from the trivial subgroup, repeatedly joins known subgroups with
-    single generators; that reaches the same fixpoint as closing the set of
-    cyclic subgroups under pairwise join.  Results are sorted by size.
+    Every subgroup is the join of the cyclic subgroups inside it, so each
+    subgroup H found, from the trivial one on, is joined with one generator
+    c of every cyclic subgroup it lacks.  K = <H, c> is closed as a union
+    of right cosets of H, after Dimino's algorithm: from representative e,
+    for each representative r and each generator s of K (the tuple H was
+    found with, plus c) with r·s not yet in K, the coset H·(r·s) joins K
+    and r·s becomes a representative.  That costs O(|K| + #reps·#gens)
+    table lookups.  A proper subgroup has at most half the elements, so
+    once K passes |G|/2 it is the whole group, which is never joined.
     """
     if g.order > order_cap:
         raise CapacityError(
             f"subgroup enumeration capped at order {order_cap}, group has order {g.order}")
-    trivial = 1
-    seen = {trivial}
-    frontier = [trivial]
+    mul = g.mul
+    cyclic: dict[int, int] = {}  # mask of <x> -> its first generator x
+    for x in range(1, g.order):
+        m, y = 1, x
+        while y:
+            m |= 1 << y
+            y = mul[y][x]
+        cyclic.setdefault(m, x)
+    found = {1: ([0], ())}  # mask -> (elements, generating tuple)
+    frontier = [1]
     while frontier:
         h = frontier.pop()
-        for x in range(1, g.order):
-            if not (h >> x) & 1:
-                j = generated_subgroup(g, h | (1 << x))
-                if j not in seen:
-                    seen.add(j)
-                    frontier.append(j)
-    return tuple(sorted(seen, key=lambda m: (m.bit_count(), m)))
+        elems, gens = found[h]
+        for c in cyclic.values():
+            if (h >> c) & 1:
+                continue
+            k, k_elems, k_gens, reps = h, list(elems), gens + (c,), [0]
+            for r in reps:
+                for s in k_gens:
+                    t = mul[r][s]
+                    if not (k >> t) & 1:
+                        coset = [mul[z][t] for z in elems]
+                        for z in coset:
+                            k |= 1 << z
+                        k_elems += coset
+                        reps.append(t)
+                if 2 * len(k_elems) > g.order:
+                    k = g.full_mask
+                    break
+            if k not in found:
+                found[k] = (k_elems, k_gens)
+                frontier.append(k)
+    return tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
 
 
 def maximal_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> tuple[int, ...]:

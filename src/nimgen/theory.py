@@ -83,12 +83,18 @@ def deficiency_table(g: GroupTable, lat: IntersectionLattice,
 
 
 def d_min(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> int:
-    """Minimum size of a generating set."""
+    """Minimum size of a generating set.
+
+    Above ``order_cap``, the exhaustive search (combinatorial in the order)
+    runs only within the default brute cap; larger groups raise.
+    """
     if g.order == 1:
         return 0
     try:
         lat = intersection_subgroups(g, order_cap=order_cap)
     except CapacityError:
+        if g.order > DEFAULT_BRUTE_CAP:
+            raise
         return d_min_exhaustive(g)
     return deficiency_table(g, lat, class_edges(lat, g)).d_g
 

@@ -1,7 +1,7 @@
-"""Cached builders shared across test modules.
+"""Cached builders shared across test modules, and reference algorithms.
 
-Subgroup enumeration dominates test time, so every module pulls groups,
-lattices, and solver output through these memoized helpers.
+Every module pulls groups, lattices, and solver output through these
+memoized helpers, so each is built once per test session.
 """
 
 from functools import lru_cache
@@ -47,6 +47,26 @@ def brute_memo(spec: str, variant: str = ng.GEN) -> dict:
 @lru_cache(maxsize=None)
 def exhaustive_map(spec: str) -> tuple:
     return tuple(ng.exhaustive_deficiency_map(group(spec)))
+
+
+def reference_subgroups(g: ng.GroupTable) -> tuple[int, ...]:
+    """Every subgroup mask, sorted like ``all_subgroups``, by join closure.
+
+    Joins each subgroup found with every element outside it, one
+    ``generated_subgroup`` call each: O(|K|^2) per join, kept as the
+    reference that the coset closure of ``all_subgroups`` must match.
+    """
+    seen = {1}
+    frontier = [1]
+    while frontier:
+        h = frontier.pop()
+        for x in range(1, g.order):
+            if not (h >> x) & 1:
+                j = ng.generated_subgroup(g, h | (1 << x))
+                if j not in seen:
+                    seen.add(j)
+                    frontier.append(j)
+    return tuple(sorted(seen, key=lambda m: (m.bit_count(), m)))
 
 
 def small_orders(limit: int):

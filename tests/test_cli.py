@@ -276,6 +276,41 @@ def test_cache_key_holds_mode_and_caps(tmp_path, capsys):
     assert "capped at order 8" in out
 
 
+def test_cache_key_holds_table_file_content(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cache = tmp_path / "cache.json"
+    table = tmp_path / "k.tbl"
+    specs = ("table:k.tbl", "Dih(table:k.tbl)")
+    for text, orders in (("2\n0 1\n1 0\n", [2, 4]),
+                         ("3\n0 1 2\n1 2 0\n2 0 1\n", [3, 6])):
+        table.write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, "solve", *specs, "--cache", str(cache),
+                           "--format", "json")
+        assert code == 0
+        assert [r["order"] for r in json.loads(out)] == orders
+    assert len(json.loads(cache.read_text())) == 4
+
+
+def test_cache_save_replaces_the_file(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache.json"
+    run(capsys, "solve", "Z4", "Dih(Z3)", "--cache", str(cache))
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+    before = json.loads(cache.read_text())
+    assert len(before) == 2
+    # a write that dies halfway leaves the previous file whole
+    real_write = Path.write_text
+
+    def torn_write(self, text, *args, **kwargs):
+        real_write(self, text[:len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", torn_write)
+    with pytest.raises(OSError):
+        main(["solve", "Z6", "--cache", str(cache)])
+    monkeypatch.undo()
+    assert json.loads(cache.read_text()) == before
+
+
 def test_cache_env_overrides_flag(tmp_path, capsys, monkeypatch):
     env_cache = tmp_path / "env.json"
     flag_cache = tmp_path / "flag.json"

@@ -7,6 +7,10 @@ import nimgen as ng
 import support
 
 
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 def test_cyclic_subgroup_counts():
     assert len(ng.all_subgroups(support.group("Z4"))) == 3
     # one subgroup per divisor of 12
@@ -14,7 +18,22 @@ def test_cyclic_subgroup_counts():
 
 
 def test_dihedral_subgroup_count():
-    assert len(ng.all_subgroups(support.group("Dih(Z4)"))) == 10
+    # Dih(Z_n) has one cyclic subgroup per divisor d of n and n/d dihedral
+    # ones per divisor d: tau(n) + sigma(n) in all
+    counts = {n: len(ng.all_subgroups(ng.build_group(f"Dih(Z{n})")))
+              for n in [*range(1, 61), 99]}
+    for n, count in counts.items():
+        divisors = _divisors(n)
+        assert count == len(divisors) + sum(divisors), n
+    assert counts[4] == 10
+    assert counts[99] == 162
+
+
+def test_subgroups_match_join_closure_reference():
+    specs = ng.EXTENDED_CATALOG + ("Dih(Z2xZ2xZ2xZ2)", "Z2xZ4xZ8")
+    for spec in specs:
+        g = support.group(spec)
+        assert ng.all_subgroups(g) == support.reference_subgroups(g), spec
 
 
 def test_subgroups_are_sorted_and_closed():

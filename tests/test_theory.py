@@ -29,6 +29,9 @@ def test_d_min_routes():
     assert ng.d_min_exhaustive(support.group("Z2xZ2xZ2")) == 3
     # capacity fallback still answers
     assert ng.d_min(support.group("Z6"), order_cap=2) == 1
+    # but above the brute cap the combinatorial search is not tried
+    with pytest.raises(ng.CapacityError):
+        ng.d_min(ng.build_group("Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2"))
 
 
 def test_exhaustive_map_z4():
