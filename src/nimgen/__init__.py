@@ -29,7 +29,6 @@ from .errors import (
     OutOfScopeError,
     SpecParseError,
     TableFormatError,
-    UnsupportedVariantError,
 )
 from .groups import (
     Cyclic,
@@ -112,7 +111,7 @@ __all__ = [
     "__version__",
     # errors
     "NimgenError", "SpecParseError", "NonAbelianError", "TableFormatError",
-    "CapacityError", "UnsupportedVariantError", "OutOfScopeError",
+    "CapacityError", "OutOfScopeError",
     "InternalInvariantError",
     # groups
     "GroupTable", "Cyclic", "Product", "Dih", "TableFile", "GroupSpec",

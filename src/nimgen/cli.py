@@ -31,7 +31,7 @@ from .diagram import (
 from .errors import NimgenError, OutOfScopeError, TableFormatError
 from .groups import (Dih, GroupSpec, Product, TableFile, build_group,
                      canonical_spec, parse_group_spec)
-from .lattice import DEFAULT_ORDER_CAP, intersection_subgroups
+from .lattice import DEFAULT_ORDER_CAP, class_edges, intersection_subgroups
 from .solver import DEFAULT_BRUTE_CAP, DNG, GEN, solve, structure_nim
 from .theory import (
     ABELIAN_CATALOG,
@@ -88,16 +88,23 @@ class _Cache:
             self.data[key] = value
             self.dirty = True
 
-    def save(self) -> None:
+    def save(self) -> bool:
+        """Write the cache if it changed; False, reported on stderr, on failure."""
         if not self.dirty:
-            return
-        if self.path.parent != Path("."):
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+            return True
         text = json.dumps(self.data, indent=2, sort_keys=True) + "\n"
         # A crash mid-write leaves the old file whole, not a truncated one.
         tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, self.path)
+        try:
+            if self.path.parent != Path("."):
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, self.path)
+        except OSError as exc:
+            print(f"error: cannot write cache {self.path}: {exc}",
+                  file=sys.stderr)
+            return False
+        return True
 
 
 def _open_cache(flag_value: str | None) -> _Cache | None:
@@ -181,15 +188,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
                       order_cap=args.order_cap, cache=cache)
         for s in args.specs
     ]
-    if cache is not None:
-        cache.save()
+    saved = cache is None or cache.save()
     if args.fmt == "json":
         print(json.dumps(records, indent=2, sort_keys=True))
     elif args.fmt == "csv":
         _print_solve_csv(records)
     else:
         _print_solve_text(records)
-    return 2 if any("error" in r for r in records) else 0
+    return 2 if not saved or any("error" in r for r in records) else 0
 
 
 def cmd_diagram(args: argparse.Namespace) -> int:
@@ -204,7 +210,8 @@ def cmd_diagram(args: argparse.Namespace) -> int:
                 "generation games need a group of order at least 2")
         lat = intersection_subgroups(g, order_cap=args.order_cap)
         nims = structure_nim(g, lat)
-        digraph = build_digraph(g, lat, nims)
+        dt = deficiency_table(g, lat, class_edges(lat, g))
+        digraph = build_digraph(g, lat, nims, dt)
         drawing = simplify(digraph) if args.simplified else digraph
     except (NimgenError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -222,9 +229,8 @@ def _verify_workspace(spec_str: str, order_cap: int):
     g = build_group(spec_str)
     lat = intersection_subgroups(g, order_cap=order_cap)
     nims = structure_nim(g, lat)
-    digraph = build_digraph(g, lat, nims)
-    dt = deficiency_table(g, lat, digraph.edges)
-    return g, lat, nims, digraph, dt
+    dt = deficiency_table(g, lat, class_edges(lat, g))
+    return g, lat, nims, build_digraph(g, lat, nims, dt), dt
 
 
 def _suite_checks(suite: str, order_cap: int) -> tuple[list[CheckReport], list[str]]:
@@ -268,7 +274,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.specs:
             parts = [AbelianSpec.from_spec(s) for s in args.specs]
             report = verify_family(parts, _VARIANTS[args.game],
-                                   brute_cap=args.brute_cap,
                                    order_cap=order_cap)
             family_records = list(report.records)
         else:
@@ -276,13 +281,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if suite in ("theorem", "all"):
                 parts = [AbelianSpec.from_spec(s) for s in ABELIAN_CATALOG]
                 family_records += list(verify_family(
-                    parts, GEN, brute_cap=args.brute_cap,
-                    order_cap=order_cap).records)
+                    parts, GEN, order_cap=order_cap).records)
             if suite in ("dng", "all"):
                 parts = [AbelianSpec.from_spec(s) for s in DNG_FAMILY]
                 family_records += list(verify_family(
-                    parts, DNG, brute_cap=args.brute_cap,
-                    order_cap=order_cap).records)
+                    parts, DNG, order_cap=order_cap).records)
             suite_checks, suite_notes = _suite_checks(suite, order_cap)
             checks += suite_checks
             notes += suite_notes
@@ -360,8 +363,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                       cache=cache)
         for k in range(lo, hi + 1)
     ]
-    if cache is not None:
-        cache.save()
+    saved = cache is None or cache.save()
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(["spec", "order", "variant", "nim", "mode", "d(G)", "millis",
                 "note"])
@@ -369,13 +371,16 @@ def cmd_table(args: argparse.Namespace) -> int:
         w.writerow([r["spec"], r.get("order", ""), r["variant"],
                     r.get("nim", ""), r.get("mode", ""), r.get("d_g", ""),
                     r["millis"], r.get("error", "")])
-    return 2 if any("error" in r for r in records) else 0
+    return 2 if not saved or any("error" in r for r in records) else 0
 
 
-def _add_caps(p: argparse.ArgumentParser) -> None:
+def _add_brute_cap(p: argparse.ArgumentParser) -> None:
     p.add_argument("--brute-cap", type=int, default=DEFAULT_BRUTE_CAP,
                    help="largest order solved by exhaustive search "
                         f"(default {DEFAULT_BRUTE_CAP})")
+
+
+def _add_order_cap(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP,
                    help="largest order whose subgroups are enumerated "
                         f"(default {DEFAULT_ORDER_CAP})")
@@ -403,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="text")
     p.add_argument("--cache", metavar="PATH",
                    help="JSON result cache (NIMGEN_CACHE overrides)")
-    _add_caps(p)
+    _add_brute_cap(p)
+    _add_order_cap(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("diagram", help="emit the structure digraph")
@@ -414,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--style", choices=["full", "plain"], default="full")
     p.add_argument("--simplified", action="store_true",
                    help="merge vertices with equal types and option profiles")
-    _add_caps(p)
+    _add_order_cap(p)
     p.set_defaults(func=cmd_diagram)
 
     p = sub.add_parser("verify", help="check computed values against the "
@@ -426,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="built-in suite to run (default: theorem)")
     p.add_argument("--format", dest="fmt", choices=["text", "json"],
                    default="text")
-    _add_caps(p)
+    _add_order_cap(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="CSV nim-number table over a family")
@@ -439,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     p.add_argument("--cache", metavar="PATH",
                    help="JSON result cache (NIMGEN_CACHE overrides)")
-    _add_caps(p)
+    _add_brute_cap(p)
+    _add_order_cap(p)
     p.set_defaults(func=cmd_table)
 
     return parser

@@ -18,6 +18,7 @@ from .errors import InternalInvariantError
 from .groups import GroupTable
 from .lattice import TERMINAL, IntersectionLattice, class_edges, class_parity
 from .solver import ClassNimTable
+from .theory import DeficiencyTable
 
 
 class TypeTriple(NamedTuple):
@@ -65,12 +66,9 @@ def type_of(nims: ClassNimTable, lat: IntersectionLattice, cid: int) -> TypeTrip
     return TypeTriple(class_parity(lat, cid), even_nim, odd_nim)
 
 
-def build_digraph(g: GroupTable, lat: IntersectionLattice,
-                  nims: ClassNimTable) -> StructureDigraph:
-    from .theory import deficiency_table
-
-    edges = class_edges(lat, g)
-    dt = deficiency_table(g, lat, edges)
+def build_digraph(g: GroupTable, lat: IntersectionLattice, nims: ClassNimTable,
+                  dt: DeficiencyTable) -> StructureDigraph:
+    """One vertex per class plus the terminal one, with ``dt``'s distances."""
     vertices = [
         DigraphVertex(
             cid=cid,
@@ -88,7 +86,7 @@ def build_digraph(g: GroupTable, lat: IntersectionLattice,
         deficiency=0,
         vtype=type_of(nims, lat, TERMINAL),
     ))
-    return StructureDigraph(vertices=tuple(vertices), edges=tuple(edges))
+    return StructureDigraph(vertices=tuple(vertices), edges=class_edges(lat, g))
 
 
 def simplify(d: StructureDigraph | SimplifiedDiagram, *,

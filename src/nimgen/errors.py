@@ -8,7 +8,6 @@ __all__ = [
     "NonAbelianError",
     "TableFormatError",
     "CapacityError",
-    "UnsupportedVariantError",
     "OutOfScopeError",
     "InternalInvariantError",
 ]
@@ -36,10 +35,6 @@ class TableFormatError(NimgenError):
 
 class CapacityError(NimgenError):
     """The input exceeds a configured size cap."""
-
-
-class UnsupportedVariantError(NimgenError):
-    """The requested game variant is not handled by this solver."""
 
 
 class OutOfScopeError(NimgenError):

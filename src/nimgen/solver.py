@@ -6,9 +6,10 @@ avoidance game: a player forced to complete a generating set loses.  Both are
 scored by Sprague-Grundy values over the position DAG.
 
 The brute solver walks positions directly.  The structure solver evaluates
-the achievement game per structure class: inside a class, positions of the
-carrier's parity and of the opposite parity each share one nim value, so two
-mex equations per class suffice.
+either game per structure class: inside a class, positions of the carrier's
+parity and of the opposite parity each share one nim value, so two mex
+equations per class suffice.  The games differ only in the terminal class,
+an option in GEN and never one in DNG.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping
 
-from .errors import CapacityError, InternalInvariantError, UnsupportedVariantError
+from .errors import CapacityError, InternalInvariantError
 from .groups import GroupSpec, GroupTable, build_group, generated_subgroup
 from .lattice import (
     DEFAULT_ORDER_CAP,
@@ -123,22 +124,24 @@ class ClassNimTable:
 
 def structure_nim(g: GroupTable, lat: IntersectionLattice,
                   variant: Variant = GEN) -> ClassNimTable:
-    """Solve the achievement game over structure classes instead of positions.
+    """Solve a game over structure classes instead of positions.
 
     Classes are processed from the largest carrier down; every option of a
     class lies in a class with a strictly larger carrier, or is terminal.
+    A generating position ends GEN with value 0; in DNG no move may reach
+    one, so the terminal class is left out of every option list.
     """
-    if variant != GEN:
-        raise UnsupportedVariantError(
-            "the structure solver only handles the achievement game")
     if g.order < 2:
         raise ValueError("game solvers require a group of order at least 2")
+    options = lat.options
+    if variant == DNG:
+        options = [[j for j in opts if j != TERMINAL] for opts in options]
     order_ids = sorted(
         range(len(lat.intersections)),
         key=lambda i: (-lat.intersections[i].bit_count(), lat.intersections[i]))
     per: dict[int, tuple[int, int]] = {TERMINAL: (0, 0)}
     for cid in order_ids:
-        opts = lat.options[cid]
+        opts = options[cid]
         pools = ({per[j][0] for j in opts}, {per[j][1] for j in opts})
         q = class_parity(lat, cid)
         # A move adds one element, so every option of a position has the
@@ -172,30 +175,23 @@ def solve(g: GroupTable, variant: Variant = GEN, mode: str = "auto", *,
           order_cap: int = DEFAULT_ORDER_CAP) -> SolveResult:
     """Nim value of a game on ``g``, with the lattice and d(G) of the group.
 
-    ``auto`` uses brute force for small groups and for the avoidance game,
-    and the structure solver for everything else.  The lattice is built in
-    every mode, so ``order_cap`` bounds brute-force solves as well.
+    ``auto`` uses brute force up to ``brute_cap`` and the structure solver
+    above it, in both games.  The lattice is built in every mode, so
+    ``order_cap`` bounds brute-force solves as well.
     """
     from .theory import deficiency_table  # theory imports this module
 
     if g.order < 2:
         raise ValueError("generation games need a group of order at least 2")
     if mode == "auto":
-        if variant == DNG and g.order > brute_cap:
-            raise UnsupportedVariantError(
-                "the avoidance game is only solvable by brute force, "
-                f"and order {g.order} exceeds the brute cap {brute_cap}")
-        mode = "brute" if (variant == DNG or g.order <= brute_cap) else "structure"
+        mode = "brute" if g.order <= brute_cap else "structure"
     elif mode not in ("brute", "structure"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "structure" and variant == DNG:
-        raise UnsupportedVariantError(
-            "the structure solver only handles the achievement game")
     lat = intersection_subgroups(g, order_cap=order_cap)
     if mode == "brute":
         nim = brute_nim(g, variant, brute_cap=brute_cap)
     else:
-        nim = structure_nim(g, lat).game_nim
+        nim = structure_nim(g, lat, variant).game_nim
     d_g = deficiency_table(g, lat, class_edges(lat, g)).d_g
     return SolveResult(nim=nim, mode=mode, lattice=lat, d_g=d_g)
 

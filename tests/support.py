@@ -36,7 +36,8 @@ def deficiencies(spec: str) -> ng.DeficiencyTable:
 
 @lru_cache(maxsize=None)
 def digraph(spec: str) -> ng.StructureDigraph:
-    return ng.build_digraph(group(spec), lattice(spec), nims(spec))
+    return ng.build_digraph(group(spec), lattice(spec), nims(spec),
+                            deficiencies(spec))
 
 
 @lru_cache(maxsize=None)

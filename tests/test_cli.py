@@ -82,11 +82,14 @@ def test_solve_error_keeps_other_records(capsys):
     assert "error" in records[1]
 
 
-def test_solve_structure_rejects_dng(capsys):
-    code, out, _ = run(capsys, "solve", "--game", "dng", "--mode", "structure",
-                       "Z4")
-    assert code == 2
-    assert "achievement" in out
+def test_solve_structure_dng(capsys):
+    # above the brute cap, auto picks the structure method in both games
+    code, out, _ = run(capsys, "solve", "--game", "dng", "Dih(Z25)",
+                       "Dih(Z3xZ9)")
+    assert code == 0
+    lines = out.splitlines()
+    assert "DNG  *3  order=50 mode=structure" in lines[0]
+    assert "DNG  *0  order=54 mode=structure" in lines[1]
 
 
 def test_solve_determinism(capsys):
@@ -178,6 +181,14 @@ def test_diagram_rejects_dng(capsys):
     code, _, err = run(capsys, "diagram", "--game", "dng", "Dih(Z4)")
     assert code == 2
     assert "achievement" in err
+
+
+@pytest.mark.parametrize("argv", [["diagram", "Dih(Z4)"], ["verify", "Z5"]])
+def test_brute_cap_only_where_it_acts(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--brute-cap", "1"])
+    assert exc.value.code == 2
+    assert "--brute-cap" in capsys.readouterr().err
 
 
 def test_diagram_bad_spec(capsys):
@@ -305,10 +316,27 @@ def test_cache_save_replaces_the_file(tmp_path, capsys, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(Path, "write_text", torn_write)
-    with pytest.raises(OSError):
-        main(["solve", "Z6", "--cache", str(cache)])
+    code, out, err = run(capsys, "solve", "Z6", "--cache", str(cache))
     monkeypatch.undo()
+    assert code == 2
+    assert "*" in out and "disk full" in err
     assert json.loads(cache.read_text()) == before
+
+
+def test_cache_write_failure_keeps_the_records(tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("", encoding="utf-8")
+    cache = blocker / "cache.json"
+    code, out, err = run(capsys, "solve", "Z4", "--cache", str(cache))
+    assert code == 2
+    assert err.startswith(f"error: cannot write cache {cache}: ")
+    assert "Z4  GEN  *1" in out
+    code, out, err = run(capsys, "table", "Zn", "--n", "2..3", "--cache",
+                         str(cache))
+    assert code == 2
+    assert err.startswith(f"error: cannot write cache {cache}: ")
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [r[0] for r in rows] == ["Z2", "Z3"] and all(r[3] for r in rows)
 
 
 def test_cache_env_overrides_flag(tmp_path, capsys, monkeypatch):

@@ -96,9 +96,33 @@ def test_structure_nim_dihz5_frozen():
     assert nims.game_nim == 3
 
 
-def test_structure_rejects_avoidance():
-    with pytest.raises(ng.UnsupportedVariantError):
-        ng.structure_nim(support.group("Z4"), support.lattice("Z4"), ng.DNG)
+def test_structure_solves_avoidance():
+    # Dih(Z5) under DNG: the rotations class loses its only option, the
+    # terminal class, so its carrier is a dead end of value 0.
+    lat = support.lattice("Dih(Z5)")
+    nims = ng.structure_nim(support.group("Dih(Z5)"), lat, ng.DNG)
+    assert nims.per_class[lat.index[0b11111]] == (1, 0)
+    assert nims.game_nim == 3
+
+
+def test_structure_matches_brute_dng_cells():
+    # every non-generating position's DNG value is its (class, parity) cell
+    for spec in ng.SMALL_CATALOG + ("Z2xZ2xZ2xZ2",):
+        g = support.group(spec)
+        lat = support.lattice(spec)
+        nims = ng.structure_nim(g, lat, ng.DNG)
+        memo = support.brute_memo(spec, ng.DNG)
+        for mask, nim in memo.items():
+            cid = ng.ceil_class(lat, g, mask)
+            assert nims.per_class[cid][mask.bit_count() & 1] == nim, (spec, mask)
+        assert nims.game_nim == memo[0], spec
+
+
+def test_structure_dng_matches_prediction():
+    for spec in ng.ABELIAN_CATALOG:
+        a = ng.AbelianSpec.from_spec(spec)
+        assert ng.nim_of_game(f"Dih({a.spec_string})", ng.DNG,
+                              mode="structure") == ng.predict_dng_dih(a), spec
 
 
 def test_structure_matches_brute_small():
@@ -140,10 +164,9 @@ def test_nim_of_game_modes():
     assert ng.nim_of_game("Dih(Z5)", mode="structure") == 3
     assert ng.nim_of_game("Dih(Z9)") == 3  # auto routes large orders to structure
     assert ng.nim_of_game("Dih(Z6)", ng.DNG) == 0
-    with pytest.raises(ng.UnsupportedVariantError):
-        ng.nim_of_game("Z4", ng.DNG, mode="structure")
-    with pytest.raises(ng.UnsupportedVariantError):
-        ng.nim_of_game("Dih(Z9)", ng.DNG)  # above the brute cap
+    assert ng.nim_of_game("Z4", ng.DNG, mode="structure") == \
+        ng.nim_of_game("Z4", ng.DNG, mode="brute")
+    assert ng.nim_of_game("Dih(Z9)", ng.DNG) == 3  # above the brute cap
     with pytest.raises(ValueError):
         ng.nim_of_game("Z4", mode="bogus")
     with pytest.raises(ValueError):
