@@ -46,11 +46,13 @@ from .groups import (
     generated_subgroup,
     is_abelian,
     is_generating,
+    is_nilpotent,
     iter_mask,
     load_table_file,
     mask_of,
     parse_group_spec,
     parse_table_text,
+    to_table_text,
 )
 from .lattice import (
     DEFAULT_ORDER_CAP,
@@ -117,8 +119,9 @@ __all__ = [
     "GroupTable", "Cyclic", "Product", "Dih", "TableFile", "GroupSpec",
     "build_cyclic", "direct_product", "dihedralize", "build_group",
     "parse_group_spec", "canonical_spec", "load_table_file",
-    "parse_table_text", "is_abelian", "element_order", "mask_of", "iter_mask",
-    "generated_subgroup", "is_generating",
+    "parse_table_text", "to_table_text", "is_abelian", "is_nilpotent",
+    "element_order", "mask_of", "iter_mask", "generated_subgroup",
+    "is_generating",
     # lattice
     "TERMINAL", "DEFAULT_ORDER_CAP", "IntersectionLattice", "all_subgroups",
     "maximal_subgroups", "intersection_subgroups", "ceil_class",

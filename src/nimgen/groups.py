@@ -8,17 +8,12 @@ are single integer operations.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from math import gcd
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
 from .errors import NonAbelianError, SpecParseError, TableFormatError
-
-# Full associativity checks are cubic; above this order a fixed-seed random
-# sample of triples is used instead.
-_FULL_ASSOC_LIMIT = 64
-_SAMPLED_TRIPLES = 100_000
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -128,6 +123,31 @@ def element_order(g: GroupTable, i: int) -> int:
         x = g.mul[x][i]
         k += 1
     return k
+
+
+def prime_factors(n: int) -> set[int]:
+    """The primes dividing ``n``."""
+    out = set()
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    if n > 1:
+        out.add(n)
+    return out
+
+
+def is_nilpotent(g: GroupTable) -> bool:
+    """A finite group is nilpotent iff elements of coprime order commute."""
+    by_order: dict[int, list[int]] = {}
+    for x in range(g.order):
+        by_order.setdefault(element_order(g, x), []).append(x)
+    mul = g.mul
+    return all(mul[x][y] == mul[y][x]
+               for a in by_order for b in by_order if 1 < a < b and gcd(a, b) == 1
+               for x in by_order[a] for y in by_order[b])
 
 
 def generated_subgroup(g: GroupTable, seed: int) -> int:
@@ -316,6 +336,15 @@ def load_table_file(path: str | Path) -> GroupTable:
     return parse_table_text(text, label=f"table:{p}")
 
 
+def to_table_text(g: GroupTable) -> str:
+    """The table file of a group, with its element names; the inverse of
+    ``parse_table_text``."""
+    lines = [str(g.order)]
+    lines += [" ".join(map(str, row)) for row in g.mul]
+    lines += [f"name {i} {name}" for i, name in enumerate(g.names)]
+    return "\n".join(lines) + "\n"
+
+
 def parse_table_text(text: str, label: str = "") -> GroupTable:
     """Parse a Cayley table.
 
@@ -380,18 +409,35 @@ def parse_table_text(text: str, label: str = "") -> GroupTable:
     if identity is None:
         raise TableFormatError("table has no two-sided identity element")
 
-    if n <= _FULL_ASSOC_LIMIT:
-        triples: Iterable[tuple[int, int, int]] = (
-            (i, j, k) for i in range(n) for j in range(n) for k in range(n))
-    else:
-        rng = random.Random(0)
-        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                   for _ in range(_SAMPLED_TRIPLES))
-    for i, j, k in triples:
-        if mul[mul[i][j]][k] != mul[i][mul[j][k]]:
-            raise TableFormatError(
-                f"associativity fails for triple ({i}, {j}, {k}): "
-                f"({i}*{j})*{k} = {mul[mul[i][j]][k]} but {i}*({j}*{k}) = {mul[i][mul[j][k]]}")
+    # Light's test: the elements s with (x*s)*y = x*(s*y) for all x, y are
+    # closed under the product, so checking a set that generates the table
+    # under the product is exact.  Each element the closure of the earlier
+    # ones misses is checked and joins the closure.  The closure is built
+    # from the table directly: a non-associative table need not obey
+    # Lagrange's theorem, which generated_subgroup relies on.
+    closure, members = 0, []
+    for s in range(n):
+        if (closure >> s) & 1:
+            continue
+        row_s = mul[s]
+        for i in range(n):
+            row_is = mul[mul[i][s]]
+            row_i = mul[i]
+            for k in range(n):
+                if row_is[k] != row_i[row_s[k]]:
+                    raise TableFormatError(
+                        f"associativity fails for triple ({i}, {s}, {k}): "
+                        f"({i}*{s})*{k} = {row_is[k]} but {i}*({s}*{k}) = {row_i[row_s[k]]}")
+        pending = [s]
+        closure |= 1 << s
+        while pending:
+            a = pending.pop()
+            members.append(a)
+            for b in members:
+                for c in (mul[a][b], mul[b][a]):
+                    if not (closure >> c) & 1:
+                        closure |= 1 << c
+                        pending.append(c)
 
     # Re-index so the identity is element 0 (swap 0 and the identity).
     new_of_old = list(range(n))

@@ -35,6 +35,11 @@ Variant = Literal["GEN", "DNG"]
 DEFAULT_BRUTE_CAP = 16
 
 
+def _check_variant(variant: str) -> None:
+    if variant not in (GEN, DNG):
+        raise ValueError(f"unknown game {variant!r}, expected {GEN!r} or {DNG!r}")
+
+
 def mex(values: Iterable[int]) -> int:
     """Minimum excludant: the least non-negative integer not in ``values``."""
     s = set(values)
@@ -67,6 +72,7 @@ def dng_options(g: GroupTable, p: int) -> list[int]:
 def brute_search(g: GroupTable, variant: Variant = GEN, *,
                  brute_cap: int = DEFAULT_BRUTE_CAP) -> dict[int, int]:
     """Memoized nim values for every position reachable from the empty set."""
+    _check_variant(variant)
     if g.order < 2:
         raise ValueError("game solvers require a group of order at least 2")
     if g.order > brute_cap:
@@ -131,6 +137,7 @@ def structure_nim(g: GroupTable, lat: IntersectionLattice,
     A generating position ends GEN with value 0; in DNG no move may reach
     one, so the terminal class is left out of every option list.
     """
+    _check_variant(variant)
     if g.order < 2:
         raise ValueError("game solvers require a group of order at least 2")
     options = lat.options
@@ -181,6 +188,7 @@ def solve(g: GroupTable, variant: Variant = GEN, mode: str = "auto", *,
     """
     from .theory import deficiency_table  # theory imports this module
 
+    _check_variant(variant)
     if g.order < 2:
         raise ValueError("generation games need a group of order at least 2")
     if mode == "auto":

@@ -28,6 +28,7 @@ from .groups import (
     direct_product,
     generated_subgroup,
     parse_group_spec,
+    prime_factors,
 )
 from .lattice import (
     DEFAULT_ORDER_CAP,
@@ -144,19 +145,6 @@ def strata(dt: DeficiencyTable, lat: IntersectionLattice) -> dict[tuple[int, int
 # Abelian shapes and predictions
 
 
-def _prime_factors(n: int) -> set[int]:
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
 @dataclass(frozen=True)
 class AbelianSpec:
     """An abelian group given as a direct product of cyclic factors."""
@@ -188,7 +176,7 @@ class AbelianSpec:
     def rank(self) -> int:
         """Minimum number of generators: the largest per-prime factor count."""
         counts = [sum(1 for f in self.factors if f % p == 0)
-                  for p in _prime_factors(self.order)]
+                  for p in prime_factors(self.order)]
         return max(counts, default=0)
 
     @property

@@ -4,6 +4,8 @@ Every module pulls groups, lattices, and solver output through these
 memoized helpers, so each is built once per test session.
 """
 
+import dataclasses
+import random
 from functools import lru_cache
 
 import nimgen as ng
@@ -68,6 +70,58 @@ def reference_subgroups(g: ng.GroupTable) -> tuple[int, ...]:
                     seen.add(j)
                     frontier.append(j)
     return tuple(sorted(seen, key=lambda m: (m.bit_count(), m)))
+
+
+def reference_maximals(g: ng.GroupTable) -> tuple[int, ...]:
+    """Maximal subgroups by the O(S^2) containment filter over every
+    subgroup: the reference for both routes of ``maximal_subgroups``."""
+    proper = [m for m in ng.all_subgroups(g) if m != g.full_mask]
+    return tuple(m for m in proper
+                 if not any(m != k and m | k == k for k in proper))
+
+
+def reference_ceil(lat: ng.IntersectionLattice, g: ng.GroupTable, mask: int) -> int:
+    """Class of a mask as the meet of the maximals containing it, by
+    |G|-bit mask tests: the reference for the signature ``ceil_class``."""
+    meet = -1
+    for m in lat.maximals:
+        if mask | m == m:
+            meet &= m
+    return ng.TERMINAL if meet == -1 else lat.intersections.index(meet)
+
+
+def reference_options(lat: ng.IntersectionLattice, g: ng.GroupTable,
+                      cid: int) -> tuple[int, ...]:
+    """Option classes of a class by probing its carrier with every element
+    outside it: the reference for the signature ``class_options``."""
+    carrier = lat.intersections[cid]
+    return tuple(sorted({reference_ceil(lat, g, carrier | (1 << x))
+                         for x in range(g.order) if not (carrier >> x) & 1}))
+
+
+def containment(lat: ng.IntersectionLattice) -> tuple[tuple[bool, ...], ...]:
+    """``containment(lat)[i][j]`` says carrier i is a subset of carrier j."""
+    return tuple(tuple(a | b == b for b in lat.intersections)
+                 for a in lat.intersections)
+
+
+def relabelled(g: ng.GroupTable, seed: int) -> ng.GroupTable:
+    """``g`` with its elements shuffled by a seeded permutation, written out
+    with ``to_table_text`` and read back through ``parse_table_text``; the
+    identity usually moves away from index 0 before the parser restores it."""
+    perm = list(range(g.order))
+    random.Random(seed).shuffle(perm)
+    mul = [[0] * g.order for _ in range(g.order)]
+    for i, row in enumerate(g.mul):
+        for j, k in enumerate(row):
+            mul[perm[i]][perm[j]] = perm[k]
+    inv, names = [0] * g.order, [""] * g.order
+    for i in range(g.order):
+        inv[perm[i]], names[perm[i]] = perm[g.inv[i]], g.names[i]
+    shuffled = dataclasses.replace(g, mul=tuple(map(tuple, mul)),
+                                   inv=tuple(inv), names=tuple(names))
+    return ng.parse_table_text(ng.to_table_text(shuffled),
+                               label=f"{g.label} relabelled {seed}")
 
 
 def small_orders(limit: int):

@@ -225,3 +225,23 @@ def test_table_rejects_malformed(tmp_path, text, hint):
 def test_table_missing_file():
     with pytest.raises(ng.TableFormatError):
         ng.load_table_file("/nonexistent/nowhere.tbl")
+
+
+def test_table_round_trip_keeps_every_catalog_group():
+    for spec in ng.EXTENDED_CATALOG:
+        g = support.group(spec)
+        h = ng.parse_table_text(ng.to_table_text(g), label=g.label)
+        assert h == g, spec
+
+
+def test_table_rejects_nonassociative_above_order_64():
+    # Z_n with one intercalate swapped is still a Latin square with
+    # identity 0, but no longer associative
+    for n in (66, 98, 198):
+        rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+        h = n // 2
+        rows[1][1], rows[1][1 + h] = rows[1][1 + h], rows[1][1]
+        rows[1 + h][1], rows[1 + h][1 + h] = rows[1 + h][1 + h], rows[1 + h][1]
+        text = f"{n}\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n"
+        with pytest.raises(ng.TableFormatError, match="associativity fails"):
+            ng.parse_table_text(text)

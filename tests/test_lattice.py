@@ -56,6 +56,48 @@ def test_maximals_of_z6():
     assert sorted(m.bit_count() for m in maxs) == [2, 3]
 
 
+def test_nilpotency_check():
+    for spec in ("Dih(Z4)", "Z2xZ2xZ2xZ2xZ2", "Z12", "Dih(Z2xZ2xZ2)", "Z2xZ4xZ8"):
+        assert ng.is_nilpotent(support.group(spec)), spec
+    # Dih(Z3) is S3
+    for spec in ("Dih(Z3)", "Dih(Z2xZ3)", "Dih(Z6)", "Dih(Z12)", "Dih(Z5xZ5)"):
+        assert not ng.is_nilpotent(support.group(spec)), spec
+
+
+def _heisenberg(p):
+    """Upper unitriangular 3x3 matrices over F_p: nilpotent, not abelian."""
+    elems = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
+    index = {e: i for i, e in enumerate(elems)}
+    rows = [" ".join(str(index[(x[0] + y[0]) % p, (x[1] + y[1]) % p,
+                                 (x[2] + y[2] + x[0] * y[1]) % p])
+                     for y in elems) for x in elems]
+    return ng.parse_table_text(f"{len(elems)}\n" + "\n".join(rows) + "\n",
+                               label=f"Heisenberg({p})")
+
+
+def test_maximals_match_containment_filter():
+    # nilpotent groups take the Frattini-quotient route, the others the
+    # subgroup enumeration; both must agree with the O(S^2) filter, also
+    # on relabelled tables whose identity the parser moved to index 0
+    extra = ("Z2xZ2xZ2xZ2xZ2", "Dih(Z2xZ2xZ2xZ2)", "Z2xZ4xZ8", "Z3xZ3xZ3xZ3",
+             "Dih(Z2xZ2xZ4)", "Dih(Z4)xZ3", "Dih(Z4)xDih(Z4)", "Dih(Z2xZ4)xZ5",
+             "Dih(Z3xZ6)", "Dih(Z3)xZ4")
+    groups = [support.group(spec) for spec in ng.EXTENDED_CATALOG + extra]
+    groups.append(_heisenberg(3))
+    nilpotent = 0
+    for g in groups:
+        spec = g.label
+        want = support.reference_maximals(g)
+        assert ng.maximal_subgroups(g) == want, spec
+        if ng.is_nilpotent(g):
+            nilpotent += 1
+            for seed in (1, 2):
+                h = support.relabelled(g, seed)
+                assert ng.is_nilpotent(h)
+                assert ng.maximal_subgroups(h) == support.reference_maximals(h), spec
+    assert nilpotent == 34
+
+
 def test_maximals_need_order_two():
     with pytest.raises(ValueError):
         ng.maximal_subgroups(ng.build_cyclic(1))
@@ -92,11 +134,37 @@ def test_intersections_closed_under_meet():
 
 
 def test_containment_matrix():
-    lat = support.lattice("Dih(Z4)")
-    masks = lat.intersections
-    for i, a in enumerate(masks):
-        for j, b in enumerate(masks):
-            assert lat.containment[i][j] == (a | b == b)
+    # carrier i lies in carrier j iff every maximal holding j holds i
+    for spec in ("Dih(Z4)", "Dih(Z6)", "Dih(Z3xZ3)", "Z2xZ2xZ2", "Z12"):
+        lat = support.lattice(spec)
+        matrix = support.containment(lat)
+        intents = lat.intents
+        for i in range(len(intents)):
+            for j in range(len(intents)):
+                assert matrix[i][j] == (intents[i] & intents[j] == intents[j])
+
+
+def test_options_and_ceil_match_mask_reference():
+    for spec in ng.EXTENDED_CATALOG:
+        g = support.group(spec)
+        lat = support.lattice(spec)
+        for cid in range(len(lat.intersections)):
+            assert lat.options[cid] == support.reference_options(lat, g, cid), spec
+        masks = {carrier | (1 << x) for carrier in lat.intersections
+                 for x in range(g.order)}
+        masks.update(range(0, 1 << min(g.order, 12), 5))
+        for mask in masks:
+            assert ng.ceil_class(lat, g, mask) == support.reference_ceil(lat, g, mask)
+
+
+def test_elementary_abelian_2_group_of_rank_6():
+    # the classes are the 2824 proper subspaces of F_2^6
+    g = support.group("Z2xZ2xZ2xZ2xZ2xZ2")
+    for variant in (ng.GEN, ng.DNG):
+        r = ng.solve(g, variant, mode="structure")
+        assert (r.nim, r.d_g, len(r.lattice.intersections)) == (0, 6, 2824)
+    assert len(r.lattice.maximals) == 63
+    assert len(r.lattice.signatures) == 64
 
 
 def test_carrier_lookup():

@@ -101,7 +101,7 @@ def test_structure_solves_avoidance():
     # terminal class, so its carrier is a dead end of value 0.
     lat = support.lattice("Dih(Z5)")
     nims = ng.structure_nim(support.group("Dih(Z5)"), lat, ng.DNG)
-    assert nims.per_class[lat.index[0b11111]] == (1, 0)
+    assert nims.per_class[lat.intersections.index(0b11111)] == (1, 0)
     assert nims.game_nim == 3
 
 
@@ -171,3 +171,16 @@ def test_nim_of_game_modes():
         ng.nim_of_game("Z4", mode="bogus")
     with pytest.raises(ValueError):
         ng.nim_of_game("Z1")
+
+
+def test_unknown_variant_is_rejected():
+    # both solvers once read a lower-case "gen" differently: brute force as
+    # DNG (value 1 on Z2), the structure solver as GEN (value 2)
+    g = support.group("Z2")
+    for mode in ("brute", "structure"):
+        with pytest.raises(ValueError, match="unknown game"):
+            ng.nim_of_game("Z2", "gen", mode=mode)
+    with pytest.raises(ValueError, match="unknown game"):
+        ng.brute_search(g, "gen")
+    with pytest.raises(ValueError, match="unknown game"):
+        ng.structure_nim(g, support.lattice("Z2"), "avoid")
