@@ -60,9 +60,10 @@ from .lattice import (
     IntersectionLattice,
     all_subgroups,
     ceil_class,
+    DeficiencyTable,
     class_edges,
-    class_options,
     class_parity,
+    deficiency_table,
     intersection_subgroups,
     maximal_subgroups,
 )
@@ -74,8 +75,6 @@ from .solver import (
     SolveResult,
     brute_nim,
     brute_search,
-    dng_options,
-    gen_options,
     mex,
     nim_of_game,
     solve,
@@ -90,7 +89,6 @@ from .theory import (
     THEOREM_FAMILY,
     AbelianSpec,
     CheckReport,
-    DeficiencyTable,
     FamilyRecord,
     FamilyReport,
     check_deficiency_oracle,
@@ -99,7 +97,6 @@ from .theory import (
     check_option_deficiency,
     d_min,
     d_min_exhaustive,
-    deficiency_table,
     exhaustive_deficiency_map,
     predict_dng_dih,
     predict_gen_dih,
@@ -125,13 +122,12 @@ __all__ = [
     # lattice
     "TERMINAL", "DEFAULT_ORDER_CAP", "IntersectionLattice", "all_subgroups",
     "maximal_subgroups", "intersection_subgroups", "ceil_class",
-    "class_parity", "class_options", "class_edges",
+    "class_parity", "class_edges", "DeficiencyTable", "deficiency_table",
     # solver
-    "GEN", "DNG", "DEFAULT_BRUTE_CAP", "mex", "gen_options", "dng_options",
-    "brute_search", "brute_nim", "ClassNimTable", "structure_nim",
+    "GEN", "DNG", "DEFAULT_BRUTE_CAP", "mex", "brute_search", "brute_nim", "ClassNimTable", "structure_nim",
     "SolveResult", "solve", "nim_of_game",
     # theory
-    "DeficiencyTable", "deficiency_table", "d_min", "d_min_exhaustive",
+    "d_min", "d_min_exhaustive",
     "exhaustive_deficiency_map", "strata", "AbelianSpec", "predict_gen_dih",
     "predict_dng_dih", "FamilyRecord", "FamilyReport", "verify_family",
     "CheckReport", "check_even_type_table", "check_option_deficiency",

@@ -31,7 +31,7 @@ from .diagram import (
 from .errors import NimgenError, OutOfScopeError, TableFormatError
 from .groups import (Dih, GroupSpec, Product, TableFile, build_group,
                      canonical_spec, parse_group_spec)
-from .lattice import DEFAULT_ORDER_CAP, class_edges, intersection_subgroups
+from .lattice import DEFAULT_ORDER_CAP, deficiency_table, intersection_subgroups
 from .solver import DEFAULT_BRUTE_CAP, DNG, GEN, solve, structure_nim
 from .theory import (
     ABELIAN_CATALOG,
@@ -43,7 +43,6 @@ from .theory import (
     check_even_type_table,
     check_odd_case_lemmas,
     check_option_deficiency,
-    deficiency_table,
     verify_family,
 )
 
@@ -204,14 +203,7 @@ def cmd_diagram(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
-        g = build_group(args.spec)
-        if g.order < 2:
-            raise OutOfScopeError(
-                "generation games need a group of order at least 2")
-        lat = intersection_subgroups(g, order_cap=args.order_cap)
-        nims = structure_nim(g, lat)
-        dt = deficiency_table(g, lat, class_edges(lat, g))
-        digraph = build_digraph(g, lat, nims, dt)
+        _, _, _, digraph, _ = _verify_workspace(args.spec, args.order_cap)
         drawing = simplify(digraph) if args.simplified else digraph
     except (NimgenError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -226,10 +218,13 @@ def cmd_diagram(args: argparse.Namespace) -> int:
 
 
 def _verify_workspace(spec_str: str, order_cap: int):
+    """Group, lattice, GEN class nims, digraph and deficiencies of a spec."""
     g = build_group(spec_str)
+    if g.order < 2:
+        raise OutOfScopeError("generation games need a group of order at least 2")
     lat = intersection_subgroups(g, order_cap=order_cap)
     nims = structure_nim(g, lat)
-    dt = deficiency_table(g, lat, class_edges(lat, g))
+    dt = deficiency_table(lat)
     return g, lat, nims, build_digraph(g, lat, nims, dt), dt
 
 
@@ -382,7 +377,7 @@ def _add_brute_cap(p: argparse.ArgumentParser) -> None:
 
 def _add_order_cap(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP,
-                   help="largest order whose subgroups are enumerated "
+                   help="largest order whose maximal subgroups are computed "
                         f"(default {DEFAULT_ORDER_CAP})")
 
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import InternalInvariantError
 from .groups import GroupTable
-from .lattice import TERMINAL, IntersectionLattice, class_edges, class_parity
+from .lattice import (TERMINAL, DeficiencyTable, IntersectionLattice,
+                      class_edges, class_parity)
 from .solver import ClassNimTable
-from .theory import DeficiencyTable
 
 
 class TypeTriple(NamedTuple):

@@ -11,8 +11,8 @@ holding it, and a class's intent is the set of maximals holding its carrier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product
+from typing import Mapping
 
 from .errors import CapacityError
 from .groups import (GroupTable, generated_subgroup, is_nilpotent, iter_mask,
@@ -30,7 +30,7 @@ def _by_size(masks) -> tuple[int, ...]:
 def _check_order_cap(g: GroupTable, order_cap: int) -> None:
     if g.order > order_cap:
         raise CapacityError(
-            f"subgroup enumeration capped at order {order_cap}, group has order {g.order}")
+            f"structure lattice capped at order {order_cap}, group has order {g.order}")
 
 
 def all_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> tuple[int, ...]:
@@ -147,15 +147,14 @@ def maximal_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> t
     return _by_size(maxi)
 
 
-def _intent_of(sig: tuple[int, ...], mask: int) -> int:
-    """The AND of the signatures of the elements in ``mask``: the maximals
-    that contain the subset, 0 as soon as none does."""
-    intent = sig[0]
-    while mask and intent:
-        low = mask & -mask
-        intent &= sig[low.bit_length() - 1]
-        mask ^= low
-    return intent
+def _and_over(values: tuple[int, ...], bits: int, acc: int) -> int:
+    """``acc`` ANDed with ``values[i]`` for every set bit i of ``bits``,
+    stopping once it reaches 0."""
+    while bits and acc:
+        low = bits & -bits
+        acc &= values[low.bit_length() - 1]
+        bits ^= low
+    return acc
 
 
 @dataclass(frozen=True)
@@ -163,82 +162,64 @@ class IntersectionLattice:
     """All intersections of maximal subgroups, sorted by size.
 
     ``intersections[frattini_index]`` is the Frattini subgroup, the minimum
-    of the family.  The cached properties, computed on first use, hold the
-    element-by-maximal incidence: bit i of ``sig[x]`` says ``maximals[i]``
-    contains element x, and bit i of ``intents[cid]`` says it contains the
-    carrier of class ``cid``.  ``options[cid]`` lists the option classes of
-    class ``cid``.
+    of the family.  The element-by-maximal incidence is kept with it: bit i
+    of ``sig[x]`` says ``maximals[i]`` contains element x, and bit i of
+    ``intents[cid]`` says it contains the carrier of class ``cid``.
+    ``options[cid]`` lists the option classes of class ``cid``, sorted,
+    and ``intent_index`` maps each intent back to its class id: a class is
+    the meet of its intent's maximals, so the intent identifies it.
     """
 
     group: GroupTable = field(repr=False, compare=False)
     intersections: tuple[int, ...]
     frattini_index: int
     maximals: tuple[int, ...]
-
-    @property
-    def group_order(self) -> int:
-        return self.group.order
+    sig: tuple[int, ...] = field(repr=False)
+    intents: tuple[int, ...] = field(repr=False)
+    options: tuple[tuple[int, ...], ...] = field(repr=False)
+    intent_index: dict[int, int] = field(repr=False, compare=False)
 
     @property
     def frattini_mask(self) -> int:
         return self.intersections[self.frattini_index]
 
-    @cached_property
-    def sig(self) -> tuple[int, ...]:
-        """Per element, the bitset of maximals that contain it."""
-        sig = [0] * self.group.order
-        for i, m in enumerate(self.maximals):
-            for x in iter_mask(m):
-                sig[x] |= 1 << i
-        return tuple(sig)
-
-    @cached_property
-    def signatures(self) -> tuple[int, ...]:
-        """The distinct element signatures; elements sharing one are
-        interchangeable in every class computation."""
-        return tuple(dict.fromkeys(self.sig))
-
-    @cached_property
-    def intents(self) -> tuple[int, ...]:
-        """Per class, the bitset of maximals that contain its carrier."""
-        return tuple(_intent_of(self.sig, c) for c in self.intersections)
-
-    @cached_property
-    def intent_index(self) -> dict[int, int]:
-        """Class id by intent.  A class is the meet of its intent's maximals,
-        so the intent identifies it."""
-        return {intent: i for i, intent in enumerate(self.intents)}
-
-    @cached_property
-    def options(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(class_options(self, self.group, cid)
-                     for cid in range(len(self.intersections)))
-
-    def carrier(self, cid: int) -> int:
-        if cid == TERMINAL:
-            raise ValueError("the terminal class has no carrier in the lattice")
-        return self.intersections[cid]
-
 
 def intersection_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> IntersectionLattice:
-    """Close the maximal subgroups under intersection.
+    """The intersections of maximal subgroups, with each class's options.
 
-    Every member is an intersection of maximals, so intersecting each new
-    member with each maximal reaches the whole family.  The smallest member
-    is the intersection of all maximals, the Frattini subgroup.
+    Adding element x to a class of intent I leads to the class of intent
+    ``I & sig[x]``, or to ``TERMINAL`` when no maximal is left; elements
+    with equal signatures lead to the same class, so one probe per distinct
+    signature suffices.  Walking these moves from the Frattini class, whose
+    intent ``sig[0]`` holds every maximal, reaches every class, since each
+    carrier is the Frattini subgroup plus its own elements.  Every result
+    other than I is an option of I.  A carrier is the meet of its intent's
+    maximals; classes are numbered by carrier size, then mask, so every
+    option has a larger id than its class.
     """
     maxi = maximal_subgroups(g, order_cap=order_cap)
-    members = set(maxi)
-    frontier = list(members)
+    sig = [0] * g.order
+    for i, m in enumerate(maxi):
+        for x in iter_mask(m):
+            sig[x] |= 1 << i
+    signatures = set(sig)
+    moves: dict[int, set[int]] = {}  # intent -> intents of its options
+    frontier = [sig[0]]
     while frontier:
-        a = frontier.pop()
-        for b in maxi:
-            c = a & b
-            if c not in members:
-                members.add(c)
-                frontier.append(c)
-    return IntersectionLattice(group=g, intersections=_by_size(members),
-                               frattini_index=0, maximals=maxi)
+        intent = frontier.pop()
+        if intent in moves:
+            continue
+        moves[intent] = {intent & s for s in signatures if intent & s != intent}
+        frontier += [j for j in moves[intent] if j and j not in moves]
+    carrier = {i: _and_over(maxi, i, g.full_mask) for i in moves}
+    intents = sorted(moves, key=lambda i: (carrier[i].bit_count(), carrier[i]))
+    index = {intent: cid for cid, intent in enumerate(intents)}
+    options = tuple(tuple(sorted(index[j] if j else TERMINAL for j in moves[i]))
+                    for i in intents)
+    return IntersectionLattice(
+        group=g, intersections=tuple(carrier[i] for i in intents),
+        frattini_index=0, maximals=maxi, sig=tuple(sig), intents=tuple(intents),
+        options=options, intent_index=index)
 
 
 def ceil_class(lat: IntersectionLattice, g: GroupTable, mask: int) -> int:
@@ -249,37 +230,40 @@ def ceil_class(lat: IntersectionLattice, g: GroupTable, mask: int) -> int:
     ``TERMINAL`` when no maximal subgroup contains it, which happens exactly
     when the subset generates the whole group.
     """
-    intent = _intent_of(lat.sig, mask)
+    intent = _and_over(lat.sig, mask, lat.sig[0])
     return lat.intent_index[intent] if intent else TERMINAL
 
 
 def class_parity(lat: IntersectionLattice, cid: int) -> int:
     """Parity bit of a class: 1 if its carrier has odd order."""
     if cid == TERMINAL:
-        return lat.group_order & 1
+        return lat.group.order & 1
     return lat.intersections[cid].bit_count() & 1
-
-
-def class_options(lat: IntersectionLattice, g: GroupTable, cid: int) -> tuple[int, ...]:
-    """Classes reachable from this one by adding a single element.
-
-    Probing with the carrier itself is enough: two positions in one class
-    reach the same other classes.  Adding element x to a class of intent I
-    leads to the class of intent ``I & sig[x]``, or to ``TERMINAL`` when no
-    maximal is left; x lies outside the carrier exactly when that drops a
-    bit of I.  So one probe per distinct signature suffices, and the result
-    never contains ``cid``; moves that stay in the class are handled by the
-    solver.  Solvers read these lists from ``IntersectionLattice.options``.
-    """
-    if cid == TERMINAL:
-        raise ValueError("the terminal class has no options")
-    intent = lat.intents[cid]
-    index = lat.intent_index
-    return tuple(sorted({index[intent & s] if intent & s else TERMINAL
-                         for s in lat.signatures if intent & s != intent}))
 
 
 def class_edges(lat: IntersectionLattice, g: GroupTable) -> tuple[tuple[int, int], ...]:
     """All (class, option class) edges of the structure digraph."""
     return tuple((cid, opt) for cid, opts in enumerate(lat.options)
                  for opt in opts)
+
+
+@dataclass(frozen=True)
+class DeficiencyTable:
+    """Distance of every structure class to the terminal class."""
+
+    per_class: Mapping[int, int]
+    d_g: int
+
+
+def deficiency_table(lat: IntersectionLattice) -> DeficiencyTable:
+    """Distances to the terminal class along option edges.
+
+    Every option of a class has a larger class id or is terminal, so one
+    pass from the last class down settles each distance.  Every carrier is
+    proper and so has an option; the Frattini class, inside every carrier,
+    is the farthest, at d(G).
+    """
+    dist = {TERMINAL: 0}
+    for cid in reversed(range(len(lat.options))):
+        dist[cid] = 1 + min(dist[j] for j in lat.options[cid])
+    return DeficiencyTable(per_class=dist, d_g=dist[lat.frattini_index])

@@ -23,8 +23,8 @@ from .lattice import (
     DEFAULT_ORDER_CAP,
     TERMINAL,
     IntersectionLattice,
-    class_edges,
     class_parity,
+    deficiency_table,
     intersection_subgroups,
 )
 
@@ -47,26 +47,6 @@ def mex(values: Iterable[int]) -> int:
     while k in s:
         k += 1
     return k
-
-
-def gen_options(g: GroupTable, p: int) -> list[int]:
-    """Achievement-game options of position ``p``; empty if ``p`` generates."""
-    if generated_subgroup(g, p) == g.full_mask:
-        return []
-    return [p | (1 << x) for x in range(g.order) if not (p >> x) & 1]
-
-
-def dng_options(g: GroupTable, p: int) -> list[int]:
-    """Avoidance-game options: single-element extensions that do not generate."""
-    if generated_subgroup(g, p) == g.full_mask:
-        raise ValueError("avoidance positions must be non-generating")
-    out = []
-    for x in range(g.order):
-        if not (p >> x) & 1:
-            q = p | (1 << x)
-            if generated_subgroup(g, q) != g.full_mask:
-                out.append(q)
-    return out
 
 
 def brute_search(g: GroupTable, variant: Variant = GEN, *,
@@ -132,8 +112,9 @@ def structure_nim(g: GroupTable, lat: IntersectionLattice,
                   variant: Variant = GEN) -> ClassNimTable:
     """Solve a game over structure classes instead of positions.
 
-    Classes are processed from the largest carrier down; every option of a
-    class lies in a class with a strictly larger carrier, or is terminal.
+    Classes are processed from the last id down; every option of a class
+    lies in a class with a strictly larger carrier, hence a larger id, or is
+    terminal.
     A generating position ends GEN with value 0; in DNG no move may reach
     one, so the terminal class is left out of every option list.
     """
@@ -143,11 +124,8 @@ def structure_nim(g: GroupTable, lat: IntersectionLattice,
     options = lat.options
     if variant == DNG:
         options = [[j for j in opts if j != TERMINAL] for opts in options]
-    order_ids = sorted(
-        range(len(lat.intersections)),
-        key=lambda i: (-lat.intersections[i].bit_count(), lat.intersections[i]))
     per: dict[int, tuple[int, int]] = {TERMINAL: (0, 0)}
-    for cid in order_ids:
+    for cid in reversed(range(len(options))):
         opts = options[cid]
         pools = ({per[j][0] for j in opts}, {per[j][1] for j in opts})
         q = class_parity(lat, cid)
@@ -186,8 +164,6 @@ def solve(g: GroupTable, variant: Variant = GEN, mode: str = "auto", *,
     above it, in both games.  The lattice is built in every mode, so
     ``order_cap`` bounds brute-force solves as well.
     """
-    from .theory import deficiency_table  # theory imports this module
-
     _check_variant(variant)
     if g.order < 2:
         raise ValueError("generation games need a group of order at least 2")
@@ -200,7 +176,7 @@ def solve(g: GroupTable, variant: Variant = GEN, mode: str = "auto", *,
         nim = brute_nim(g, variant, brute_cap=brute_cap)
     else:
         nim = structure_nim(g, lat, variant).game_nim
-    d_g = deficiency_table(g, lat, class_edges(lat, g)).d_g
+    d_g = deficiency_table(lat).d_g
     return SolveResult(nim=nim, mode=mode, lattice=lat, d_g=d_g)
 
 

@@ -10,20 +10,17 @@ against computed values.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import CapacityError, InternalInvariantError, OutOfScopeError
 from .groups import (
     Cyclic,
-    Dih,
     GroupSpec,
     GroupTable,
     Product,
     build_cyclic,
-    build_group,
     dihedralize,
     direct_product,
     generated_subgroup,
@@ -33,9 +30,10 @@ from .groups import (
 from .lattice import (
     DEFAULT_ORDER_CAP,
     TERMINAL,
+    DeficiencyTable,
     IntersectionLattice,
-    class_edges,
     class_parity,
+    deficiency_table,
     intersection_subgroups,
 )
 from .solver import DEFAULT_BRUTE_CAP, GEN, Variant, solve
@@ -46,38 +44,6 @@ if TYPE_CHECKING:
 
 # ---------------------------------------------------------------------------
 # Deficiency
-
-
-@dataclass(frozen=True)
-class DeficiencyTable:
-    """Distance of every structure class to the terminal class."""
-
-    per_class: Mapping[int, int]
-    d_g: int
-
-
-def deficiency_table(g: GroupTable, lat: IntersectionLattice,
-                     edges: Iterable[tuple[int, int]]) -> DeficiencyTable:
-    """Breadth-first distances to the terminal class along option edges."""
-    reverse: dict[int, list[int]] = {}
-    for a, b in edges:
-        reverse.setdefault(b, []).append(a)
-    dist: dict[int, int] = {TERMINAL: 0}
-    frontier = deque([TERMINAL])
-    while frontier:
-        v = frontier.popleft()
-        for u in reverse.get(v, ()):
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                frontier.append(u)
-    if len(dist) != len(lat.intersections) + 1:
-        raise InternalInvariantError(
-            "some structure class cannot reach the terminal class")
-    d_g = dist[lat.frattini_index]
-    if max(dist.values()) != d_g:
-        raise InternalInvariantError(
-            "a class is farther from terminal than the Frattini class")
-    return DeficiencyTable(per_class=dist, d_g=d_g)
 
 
 def d_min(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> int:
@@ -94,7 +60,7 @@ def d_min(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> int:
         if g.order > DEFAULT_BRUTE_CAP:
             raise
         return d_min_exhaustive(g)
-    return deficiency_table(g, lat, class_edges(lat, g)).d_g
+    return deficiency_table(lat).d_g
 
 
 def d_min_exhaustive(g: GroupTable) -> int:

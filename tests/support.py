@@ -6,6 +6,7 @@ memoized helpers, so each is built once per test session.
 
 import dataclasses
 import random
+from collections import deque
 from functools import lru_cache
 
 import nimgen as ng
@@ -33,7 +34,7 @@ def edges(spec: str) -> tuple:
 
 @lru_cache(maxsize=None)
 def deficiencies(spec: str) -> ng.DeficiencyTable:
-    return ng.deficiency_table(group(spec), lattice(spec), edges(spec))
+    return ng.deficiency_table(lattice(spec))
 
 
 @lru_cache(maxsize=None)
@@ -93,10 +94,50 @@ def reference_ceil(lat: ng.IntersectionLattice, g: ng.GroupTable, mask: int) -> 
 def reference_options(lat: ng.IntersectionLattice, g: ng.GroupTable,
                       cid: int) -> tuple[int, ...]:
     """Option classes of a class by probing its carrier with every element
-    outside it: the reference for the signature ``class_options``."""
+    outside it: the reference for the signature walk that fills
+    ``IntersectionLattice.options``."""
     carrier = lat.intersections[cid]
     return tuple(sorted({reference_ceil(lat, g, carrier | (1 << x))
                          for x in range(g.order) if not (carrier >> x) & 1}))
+
+
+def reference_intersections(g: ng.GroupTable) -> tuple[int, ...]:
+    """The maximals closed under intersection by intersecting each new
+    member with each maximal, on |G|-bit masks: the reference for the
+    signature walk of ``intersection_subgroups``."""
+    maxi = ng.maximal_subgroups(g)
+    members = set(maxi)
+    frontier = list(members)
+    while frontier:
+        a = frontier.pop()
+        for b in maxi:
+            c = a & b
+            if c not in members:
+                members.add(c)
+                frontier.append(c)
+    return tuple(sorted(members, key=lambda m: (m.bit_count(), m)))
+
+
+def reference_deficiency(lat: ng.IntersectionLattice, edges) -> ng.DeficiencyTable:
+    """Breadth-first distances to the terminal class over reversed
+    ``edges``: the reference for the class-order pass of
+    ``deficiency_table``.  Checks that every class is reached and that the
+    Frattini class is the farthest."""
+    reverse: dict[int, list[int]] = {}
+    for a, b in edges:
+        reverse.setdefault(b, []).append(a)
+    dist = {ng.TERMINAL: 0}
+    frontier = deque([ng.TERMINAL])
+    while frontier:
+        v = frontier.popleft()
+        for u in reverse.get(v, ()):
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                frontier.append(u)
+    assert len(dist) == len(lat.intersections) + 1
+    d_g = dist[lat.frattini_index]
+    assert max(dist.values()) == d_g
+    return ng.DeficiencyTable(per_class=dist, d_g=d_g)
 
 
 def containment(lat: ng.IntersectionLattice) -> tuple[tuple[bool, ...], ...]:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -157,6 +158,37 @@ def test_options_and_ceil_match_mask_reference():
             assert ng.ceil_class(lat, g, mask) == support.reference_ceil(lat, g, mask)
 
 
+# The catalog plus larger groups with many classes or many subgroups, and
+# two seeded relabellings of each nilpotent one.
+_REFERENCE_SPECS = ng.EXTENDED_CATALOG + (
+    "Z2xZ2xZ2xZ2xZ2xZ2", "Z3xZ3xZ3xZ3", "Dih(Z3xZ6)", "Dih(Z2xZ10)", "Dih(Z99)")
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_lattices():
+    out = []
+    for spec in _REFERENCE_SPECS:
+        g = support.group(spec)
+        out.append((g, support.lattice(spec)))
+        if ng.is_nilpotent(g):
+            for seed in (1, 2):
+                h = support.relabelled(g, seed)
+                out.append((h, ng.intersection_subgroups(h)))
+    return out
+
+
+def test_intersections_match_mask_closure_reference():
+    for g, lat in _reference_lattices():
+        assert lat.intersections == support.reference_intersections(g), g.label
+        assert lat.frattini_mask == functools.reduce(int.__and__, lat.maximals)
+
+
+def test_deficiency_matches_bfs_reference():
+    for g, lat in _reference_lattices():
+        want = support.reference_deficiency(lat, ng.class_edges(lat, g))
+        assert ng.deficiency_table(lat) == want, g.label
+
+
 def test_elementary_abelian_2_group_of_rank_6():
     # the classes are the 2824 proper subspaces of F_2^6
     g = support.group("Z2xZ2xZ2xZ2xZ2xZ2")
@@ -164,14 +196,13 @@ def test_elementary_abelian_2_group_of_rank_6():
         r = ng.solve(g, variant, mode="structure")
         assert (r.nim, r.d_g, len(r.lattice.intersections)) == (0, 6, 2824)
     assert len(r.lattice.maximals) == 63
-    assert len(r.lattice.signatures) == 64
+    assert len(set(r.lattice.sig)) == 64
 
 
 def test_carrier_lookup():
     lat = support.lattice("Dih(Z4)")
-    assert lat.carrier(0) == lat.frattini_mask
-    with pytest.raises(ValueError):
-        lat.carrier(ng.TERMINAL)
+    assert lat.intersections[0] == lat.frattini_mask
+    assert [lat.intent_index[i] for i in lat.intents] == [0, 1, 2, 3]
 
 
 def test_ceil_examples():
@@ -204,7 +235,7 @@ def test_ceil_is_tightest_superset():
             if cid == ng.TERMINAL:
                 assert closure == g.full_mask
                 continue
-            carrier = lat.carrier(cid)
+            carrier = lat.intersections[cid]
             assert closure | carrier == carrier
             for m in lat.intersections:
                 if m.bit_count() < carrier.bit_count():
@@ -221,11 +252,9 @@ def test_class_parity():
 
 
 def test_class_options_dihz4():
-    g = support.group("Dih(Z4)")
     lat = support.lattice("Dih(Z4)")
-    assert ng.class_options(lat, g, 0) == (1, 2, 3)
-    for cid in (1, 2, 3):
-        assert ng.class_options(lat, g, cid) == (ng.TERMINAL,)
+    assert lat.options == ((1, 2, 3), (ng.TERMINAL,), (ng.TERMINAL,),
+                           (ng.TERMINAL,))
 
 
 def test_class_edges_dihz4():

@@ -25,7 +25,7 @@ def _invariants(g: ng.GroupTable) -> tuple:
     dng = ng.solve(g, ng.DNG)
     lat = gen.lattice
     nims = ng.structure_nim(g, lat)
-    dt = ng.deficiency_table(g, lat, ng.class_edges(lat, g))
+    dt = ng.deficiency_table(lat)
     shape = _diagram_shape(ng.simplify(ng.build_digraph(g, lat, nims, dt)))
     return gen.nim, dng.nim, len(lat.intersections), gen.d_g, shape
 

@@ -21,29 +21,6 @@ def test_mex_property(values):
     assert set(range(m)) <= values
 
 
-def test_gen_options_z2():
-    g = support.group("Z2")
-    assert sorted(ng.gen_options(g, 0)) == [0b01, 0b10]
-    assert ng.gen_options(g, 0b01) == [0b11]
-    # generating positions are terminal
-    assert ng.gen_options(g, 0b10) == []
-    assert ng.gen_options(g, 0b11) == []
-
-
-def test_dng_options_exclude_generating_extensions():
-    g = support.group("Z2")
-    assert ng.dng_options(g, 0) == [0b01]
-    assert ng.dng_options(g, 0b01) == []
-    with pytest.raises(ValueError):
-        ng.dng_options(g, 0b10)
-
-
-def test_dng_options_frozen_count():
-    g = support.group("Dih(Z4)")
-    # {e, r^2} extends six ways without generating
-    assert len(ng.dng_options(g, 0b101)) == 6
-
-
 def test_brute_gen_z2():
     # nim(∅)=mex{nim{e}=1, nim{g}=0}=2, worked by hand
     memo = support.brute_memo("Z2", ng.GEN)
