@@ -95,8 +95,6 @@ from .theory import (
     check_even_type_table,
     check_odd_case_lemmas,
     check_option_deficiency,
-    d_min,
-    d_min_exhaustive,
     exhaustive_deficiency_map,
     predict_dng_dih,
     predict_gen_dih,
@@ -127,7 +125,6 @@ __all__ = [
     "GEN", "DNG", "DEFAULT_BRUTE_CAP", "mex", "brute_search", "brute_nim", "ClassNimTable", "structure_nim",
     "SolveResult", "solve", "nim_of_game",
     # theory
-    "d_min", "d_min_exhaustive",
     "exhaustive_deficiency_map", "strata", "AbelianSpec", "predict_gen_dih",
     "predict_dng_dih", "FamilyRecord", "FamilyReport", "verify_family",
     "CheckReport", "check_even_type_table", "check_option_deficiency",

@@ -29,9 +29,10 @@ from .diagram import (
     to_dot,
 )
 from .errors import NimgenError, OutOfScopeError, TableFormatError
-from .groups import (Dih, GroupSpec, Product, TableFile, build_group,
-                     canonical_spec, parse_group_spec)
-from .lattice import DEFAULT_ORDER_CAP, deficiency_table, intersection_subgroups
+from .groups import (Cyclic, Dih, GroupSpec, GroupTable, Product, TableFile,
+                     build_group, canonical_spec, parse_group_spec)
+from .lattice import (DEFAULT_ORDER_CAP, check_order_cap, deficiency_table,
+                      intersection_subgroups)
 from .solver import DEFAULT_BRUTE_CAP, DNG, GEN, solve, structure_nim
 from .theory import (
     ABELIAN_CATALOG,
@@ -127,6 +128,34 @@ def _table_digests(spec: GroupSpec) -> str:
     return ""
 
 
+def _spec_order(spec: GroupSpec, in_dih: bool = False) -> int | None:
+    """Order of the group a spec describes, without building it.
+
+    None where building may fail first: a table file, or a ``Dih`` inside
+    a ``Dih``, which need not be abelian.
+    """
+    if isinstance(spec, Cyclic):
+        return spec.n
+    if isinstance(spec, Product):
+        left = _spec_order(spec.left, in_dih)
+        right = _spec_order(spec.right, in_dih)
+        return left * right if left and right else None
+    if isinstance(spec, Dih) and not in_dih:
+        inner = _spec_order(spec.inner, True)
+        return 2 * inner if inner else None
+    return None
+
+
+def _build_capped(spec: GroupSpec, order_cap: int) -> GroupTable:
+    """The group of ``spec``; one whose order the spec gives and which is
+    over ``order_cap`` raises CapacityError before any table is built.
+    Orders below 2 are left to the solvers' own error."""
+    order = _spec_order(spec)
+    if order is not None and order >= 2:
+        check_order_cap(order, order_cap)
+    return build_group(spec)
+
+
 def _solve_record(spec_str: str, variant: str, mode: str, *, brute_cap: int,
                   order_cap: int, cache: _Cache | None) -> dict:
     started = time.perf_counter()
@@ -142,7 +171,7 @@ def _solve_record(spec_str: str, variant: str, mode: str, *, brute_cap: int,
         if hit is not None:
             record.update(hit)
         else:
-            g = build_group(parsed)
+            g = _build_capped(parsed, order_cap)
             result = solve(g, variant, mode, brute_cap=brute_cap,
                            order_cap=order_cap)
             fields = {"order": g.order, "nim": result.nim, "mode": result.mode,
@@ -168,33 +197,51 @@ def _print_solve_text(records: Sequence[dict]) -> None:
                   f"{r['millis']}ms")
 
 
-def _print_solve_csv(records: Sequence[dict]) -> None:
+# CSV columns of ``solve``: (header, record key).
+_SOLVE_COLUMNS = (("spec", "spec"), ("order", "order"), ("variant", "variant"),
+                  ("nim", "nim"), ("mode", "mode"),
+                  ("intersections", "intersections"), ("d(G)", "d_g"),
+                  ("millis", "millis"), ("tool_version", "tool_version"),
+                  ("note", "error"))
+_TABLE_COLUMNS = tuple(c for c in _SOLVE_COLUMNS
+                       if c[1] not in ("intersections", "tool_version"))
+
+
+def _write_csv(records: Sequence[dict],
+               columns: Sequence[tuple[str, str]]) -> None:
     w = csv.writer(sys.stdout, lineterminator="\n")
-    w.writerow(["spec", "order", "variant", "nim", "mode", "intersections",
-                "d(G)", "millis", "tool_version", "note"])
+    w.writerow([header for header, _ in columns])
     for r in records:
-        w.writerow([r["spec"], r.get("order", ""), r["variant"],
-                    r.get("nim", ""), r.get("mode", ""),
-                    r.get("intersections", ""), r.get("d_g", ""),
-                    r["millis"], r["tool_version"], r.get("error", "")])
+        w.writerow([r.get(key, "") for _, key in columns])
+
+
+def _solve_records(specs: Sequence[str],
+                   args: argparse.Namespace) -> tuple[list[dict], int]:
+    """One record per spec, through the cache of ``solve`` and ``table``.
+
+    The exit code is 2 if any record failed or the cache could not be
+    written, else 0.
+    """
+    cache = _open_cache(args.cache)
+    records = [
+        _solve_record(s, _VARIANTS[args.game], args.mode,
+                      brute_cap=args.brute_cap, order_cap=args.order_cap,
+                      cache=cache)
+        for s in specs
+    ]
+    saved = cache is None or cache.save()
+    return records, 2 if not saved or any("error" in r for r in records) else 0
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    cache = _open_cache(args.cache)
-    variant = _VARIANTS[args.game]
-    records = [
-        _solve_record(s, variant, args.mode, brute_cap=args.brute_cap,
-                      order_cap=args.order_cap, cache=cache)
-        for s in args.specs
-    ]
-    saved = cache is None or cache.save()
+    records, code = _solve_records(args.specs, args)
     if args.fmt == "json":
         print(json.dumps(records, indent=2, sort_keys=True))
     elif args.fmt == "csv":
-        _print_solve_csv(records)
+        _write_csv(records, _SOLVE_COLUMNS)
     else:
         _print_solve_text(records)
-    return 2 if not saved or any("error" in r for r in records) else 0
+    return code
 
 
 def cmd_diagram(args: argparse.Namespace) -> int:
@@ -219,7 +266,7 @@ def cmd_diagram(args: argparse.Namespace) -> int:
 
 def _verify_workspace(spec_str: str, order_cap: int):
     """Group, lattice, GEN class nims, digraph and deficiencies of a spec."""
-    g = build_group(spec_str)
+    g = _build_capped(parse_group_spec(spec_str), order_cap)
     if g.order < 2:
         raise OutOfScopeError("generation games need a group of order at least 2")
     lat = intersection_subgroups(g, order_cap=order_cap)
@@ -350,23 +397,10 @@ def cmd_table(args: argparse.Namespace) -> int:
     except ValueError:
         print(f"error: bad range {args.n!r}; expected A..B", file=sys.stderr)
         return 2
-    cache = _open_cache(args.cache)
-    variant = _VARIANTS[args.game]
-    records = [
-        _solve_record(args.family.replace("Zn", f"Z{k}"), variant, args.mode,
-                      brute_cap=args.brute_cap, order_cap=args.order_cap,
-                      cache=cache)
-        for k in range(lo, hi + 1)
-    ]
-    saved = cache is None or cache.save()
-    w = csv.writer(sys.stdout, lineterminator="\n")
-    w.writerow(["spec", "order", "variant", "nim", "mode", "d(G)", "millis",
-                "note"])
-    for r in records:
-        w.writerow([r["spec"], r.get("order", ""), r["variant"],
-                    r.get("nim", ""), r.get("mode", ""), r.get("d_g", ""),
-                    r["millis"], r.get("error", "")])
-    return 2 if not saved or any("error" in r for r in records) else 0
+    records, code = _solve_records(
+        [args.family.replace("Zn", f"Z{k}") for k in range(lo, hi + 1)], args)
+    _write_csv(records, _TABLE_COLUMNS)
+    return code
 
 
 def _add_brute_cap(p: argparse.ArgumentParser) -> None:

@@ -138,27 +138,20 @@ def to_dot(d: StructureDigraph | SimplifiedDiagram, style: str = "full") -> str:
     """Render as Graphviz source; ``plain`` style labels vertices by type only."""
     if style not in ("full", "plain"):
         raise ValueError(f"unknown style {style!r}")
-    lines = ["digraph structure {"]
     if isinstance(d, StructureDigraph):
         index = {v.cid: i for i, v in enumerate(d.vertices)}
-        for i, v in enumerate(d.vertices):
-            if style == "full":
-                label = (f"I={v.carrier_order} pty={v.parity} "
-                         f"d={v.deficiency} type={_type_label(v.vtype)}")
-            else:
-                label = _type_label(v.vtype)
-            lines.append(f'  v{i} [label="{label}"];')
-        for a, b in sorted((index[a], index[b]) for a, b in d.edges):
-            lines.append(f"  v{a} -> v{b};")
+        edges = sorted((index[a], index[b]) for a, b in d.edges)
+        full = [f"I={v.carrier_order} pty={v.parity} d={v.deficiency} "
+                f"type={_type_label(v.vtype)}" for v in d.vertices]
     else:
-        for i, v in enumerate(d.vertices):
-            if style == "full":
-                label = f"type={_type_label(v.vtype)} members={len(v.members)}"
-            else:
-                label = _type_label(v.vtype)
-            lines.append(f'  v{i} [label="{label}"];')
-        for a, b in sorted(d.edges):
-            lines.append(f"  v{a} -> v{b};")
+        edges = sorted(d.edges)
+        full = [f"type={_type_label(v.vtype)} members={len(v.members)}"
+                for v in d.vertices]
+    labels = (full if style == "full"
+              else [_type_label(v.vtype) for v in d.vertices])
+    lines = ["digraph structure {"]
+    lines += [f'  v{i} [label="{label}"];' for i, label in enumerate(labels)]
+    lines += [f"  v{a} -> v{b};" for a, b in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -27,10 +27,11 @@ def _by_size(masks) -> tuple[int, ...]:
     return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
 
 
-def _check_order_cap(g: GroupTable, order_cap: int) -> None:
-    if g.order > order_cap:
+def check_order_cap(order: int, order_cap: int) -> None:
+    """Raise CapacityError if a group of ``order`` is over ``order_cap``."""
+    if order > order_cap:
         raise CapacityError(
-            f"structure lattice capped at order {order_cap}, group has order {g.order}")
+            f"structure lattice capped at order {order_cap}, group has order {order}")
 
 
 def all_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> tuple[int, ...]:
@@ -46,7 +47,7 @@ def all_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> tuple
     table lookups.  A proper subgroup has at most half the elements, so
     once K passes |G|/2 it is the whole group, which is never joined.
     """
-    _check_order_cap(g, order_cap)
+    check_order_cap(g.order, order_cap)
     mul = g.mul
     cyclic: dict[int, int] = {}  # mask of <x> -> its first generator x
     for x in range(1, g.order):
@@ -137,7 +138,7 @@ def maximal_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> t
     """
     if g.order < 2:
         raise ValueError("the trivial group has no maximal subgroups")
-    _check_order_cap(g, order_cap)
+    check_order_cap(g.order, order_cap)
     if is_nilpotent(g):
         return _by_size(_nilpotent_maximals(g))
     maxi: list[int] = []

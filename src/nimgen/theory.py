@@ -11,10 +11,9 @@ against computed values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import CapacityError, InternalInvariantError, OutOfScopeError
+from .errors import CapacityError, OutOfScopeError
 from .groups import (
     Cyclic,
     GroupSpec,
@@ -32,11 +31,13 @@ from .lattice import (
     TERMINAL,
     DeficiencyTable,
     IntersectionLattice,
+    ceil_class,
+    check_order_cap,
     class_parity,
-    deficiency_table,
+    deficiency_table,  # re-exported: part of this module's API
     intersection_subgroups,
 )
-from .solver import DEFAULT_BRUTE_CAP, GEN, Variant, solve
+from .solver import GEN, Variant, solve
 
 if TYPE_CHECKING:
     from .diagram import StructureDigraph
@@ -46,54 +47,24 @@ if TYPE_CHECKING:
 # Deficiency
 
 
-def d_min(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> int:
-    """Minimum size of a generating set.
-
-    Above ``order_cap``, the exhaustive search (combinatorial in the order)
-    runs only within the default brute cap; larger groups raise.
-    """
-    if g.order == 1:
-        return 0
-    try:
-        lat = intersection_subgroups(g, order_cap=order_cap)
-    except CapacityError:
-        if g.order > DEFAULT_BRUTE_CAP:
-            raise
-        return d_min_exhaustive(g)
-    return deficiency_table(lat).d_g
+EXHAUSTIVE_CAP = 14  # largest order whose 2^|G| subsets are searched
 
 
-def d_min_exhaustive(g: GroupTable) -> int:
-    """Minimum generating set size by searching subsets in increasing size."""
-    if g.order == 1:
-        return 0
-    full = g.full_mask
-    for k in range(1, g.order):
-        for combo in combinations(range(1, g.order), k):
-            m = 0
-            for x in combo:
-                m |= 1 << x
-            if generated_subgroup(g, m) == full:
-                return k
-    raise InternalInvariantError("no generating set found")
-
-
-def exhaustive_deficiency_map(g: GroupTable, *, cap: int = 14) -> list[int]:
+def exhaustive_deficiency_map(g: GroupTable) -> list[int]:
     """Deficiency of every subset: fewest extra elements needed to generate.
 
-    Dynamic programming over all masks, processed from large subsets down.
-    Intended as a small-group oracle; cost is 2^|G| closures.
+    Dynamic programming over all masks from the largest integer down: each
+    one-element extension of a mask is a larger integer, so it is settled
+    first.  Intended as a small-group oracle; cost is 2^|G| closures.
     """
     n = g.order
-    if n > cap:
-        raise CapacityError(f"exhaustive deficiency map capped at order {cap}")
+    if n > EXHAUSTIVE_CAP:
+        raise CapacityError(
+            f"exhaustive deficiency map capped at order {EXHAUSTIVE_CAP}")
     full = g.full_mask
-    size = 1 << n
-    delta = [0] * size
-    for mask in sorted(range(size), key=int.bit_count, reverse=True):
-        if generated_subgroup(g, mask) == full:
-            delta[mask] = 0
-        else:
+    delta = [0] * (1 << n)
+    for mask in reversed(range(1 << n)):
+        if generated_subgroup(g, mask) != full:
             delta[mask] = 1 + min(
                 delta[mask | (1 << x)] for x in range(n) if not (mask >> x) & 1)
     return delta
@@ -276,6 +247,8 @@ def verify_family(specs: Sequence[AbelianSpec], variant: Variant = GEN, *,
                 note=str(exc)))
             continue
         try:
+            # Checked on the spec, so an oversized part builds no table.
+            check_order_cap(2 * a.order, order_cap)
             a_table = a.to_group()
             result = solve(dihedralize(a_table), variant, "structure",
                            order_cap=order_cap)
@@ -380,15 +353,13 @@ def check_option_deficiency(digraph: "StructureDigraph", dt: DeficiencyTable,
 
 
 def check_deficiency_oracle(g: GroupTable, lat: IntersectionLattice,
-                            dt: DeficiencyTable, *, cap: int = 14) -> CheckReport:
+                            dt: DeficiencyTable) -> CheckReport:
     """Class distances agree with exhaustive per-subset deficiencies.
 
     Checks every subset of the group, so it is restricted to small orders.
-    Raises CapacityError above ``cap``.
+    Raises CapacityError above ``EXHAUSTIVE_CAP``.
     """
-    from .lattice import ceil_class
-
-    delta = exhaustive_deficiency_map(g, cap=cap)
+    delta = exhaustive_deficiency_map(g)
     violations = []
     checked = 0
     for cid, mask in enumerate(lat.intersections):

@@ -230,6 +230,37 @@ def test_verify_capacity_exit(capsys):
     assert "skip" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "Z100000"),
+    ("solve", "Z400xZ400"),
+    ("table", "Zn", "--n", "100000..100000"),
+    ("diagram", "Z100000"),
+    ("verify", "Z100000"),
+])
+def test_over_cap_builds_no_table(argv, capsys, monkeypatch):
+    # Builders that refuse large results: a spec over the order cap must be
+    # rejected from the spec alone, before any Cayley table is built.
+    import nimgen.groups
+    import nimgen.theory
+
+    def refusing(build, order_of):
+        def wrapper(*groups):
+            if order_of(*groups) > 1000:
+                raise AssertionError(f"{build.__name__} asked for a large table")
+            return build(*groups)
+        return wrapper
+
+    for module in (nimgen.groups, nimgen.theory):
+        for name, order_of in (("build_cyclic", lambda n: n),
+                               ("direct_product", lambda g, h: g.order * h.order),
+                               ("dihedralize", lambda a: 2 * a.order)):
+            monkeypatch.setattr(module, name,
+                                refusing(getattr(nimgen.groups, name), order_of))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "capped at order 200" in out + err
+
+
 def test_cache_round_trip(tmp_path, capsys):
     cache = tmp_path / "cache.json"
     first = run(capsys, "solve", "Dih(Z5)", "--cache", str(cache),

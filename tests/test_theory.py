@@ -22,18 +22,6 @@ def test_deficiency_known_d_values():
     assert support.deficiencies("Dih(Z2xZ2xZ2)").d_g == 4
 
 
-def test_d_min_routes():
-    assert ng.d_min(support.group("Z12")) == 1
-    assert ng.d_min(support.group("Z2xZ2")) == 2
-    assert ng.d_min(ng.build_cyclic(1)) == 0
-    assert ng.d_min_exhaustive(support.group("Z2xZ2xZ2")) == 3
-    # capacity fallback still answers
-    assert ng.d_min(support.group("Z6"), order_cap=2) == 1
-    # but above the brute cap the combinatorial search is not tried
-    with pytest.raises(ng.CapacityError):
-        ng.d_min(ng.build_group("Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2"))
-
-
 def test_exhaustive_map_z4():
     delta = support.exhaustive_map("Z4")
     assert delta[0] == 1
@@ -41,6 +29,7 @@ def test_exhaustive_map_z4():
     assert delta[0b0101] == 1   # {e, g^2} still needs one generator
     assert delta[0b0010] == 0
     assert delta[0b1111] == 0
+    assert ng.exhaustive_deficiency_map(ng.build_cyclic(1)) == [0, 0]
 
 
 def test_exhaustive_map_cap():
