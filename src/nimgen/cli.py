@@ -28,7 +28,7 @@ from .diagram import (
     simplify,
     to_dot,
 )
-from .errors import NimgenError, OutOfScopeError, TableFormatError
+from .errors import CapacityError, NimgenError, OutOfScopeError, TableFormatError
 from .groups import (Cyclic, Dih, GroupSpec, GroupTable, Product, TableFile,
                      build_group, canonical_spec, parse_group_spec)
 from .lattice import (DEFAULT_ORDER_CAP, check_order_cap, deficiency_table,
@@ -128,31 +128,36 @@ def _table_digests(spec: GroupSpec) -> str:
     return ""
 
 
-def _spec_order(spec: GroupSpec, in_dih: bool = False) -> int | None:
-    """Order of the group a spec describes, without building it.
+def _spec_order(spec: GroupSpec, in_dih: bool = False) -> tuple[int, bool]:
+    """Order of the group a spec describes, without building it, and
+    whether that order is exact.
 
-    None where building may fail first: a table file, or a ``Dih`` inside
-    a ``Dih``, which need not be abelian.
+    Where building may fail first, the order is a lower bound: 1 for a
+    table file, twice the inner bound for a ``Dih`` inside a ``Dih``, which
+    need not be abelian, and the product of the bounds for a product.
     """
     if isinstance(spec, Cyclic):
-        return spec.n
+        return spec.n, True
     if isinstance(spec, Product):
-        left = _spec_order(spec.left, in_dih)
-        right = _spec_order(spec.right, in_dih)
-        return left * right if left and right else None
-    if isinstance(spec, Dih) and not in_dih:
-        inner = _spec_order(spec.inner, True)
-        return 2 * inner if inner else None
-    return None
+        left, left_exact = _spec_order(spec.left, in_dih)
+        right, right_exact = _spec_order(spec.right, in_dih)
+        return left * right, left_exact and right_exact
+    if isinstance(spec, Dih):
+        inner, exact = _spec_order(spec.inner, True)
+        return 2 * inner, exact and not in_dih
+    return 1, False
 
 
 def _build_capped(spec: GroupSpec, order_cap: int) -> GroupTable:
-    """The group of ``spec``; one whose order the spec gives and which is
-    over ``order_cap`` raises CapacityError before any table is built.
-    Orders below 2 are left to the solvers' own error."""
-    order = _spec_order(spec)
-    if order is not None and order >= 2:
+    """The group of ``spec``; one whose order, or a lower bound of it, the
+    spec gives and which is over ``order_cap`` raises CapacityError before
+    any table is built.  Orders below 2 are left to the solvers' own error."""
+    order, exact = _spec_order(spec)
+    if exact and order >= 2:
         check_order_cap(order, order_cap)
+    elif order >= 2 and order > order_cap:
+        raise CapacityError(f"structure lattice capped at order {order_cap}, "
+                            f"group has order at least {order}")
     return build_group(spec)
 
 

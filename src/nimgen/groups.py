@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .errors import NonAbelianError, SpecParseError, TableFormatError
 
@@ -176,6 +176,26 @@ def generated_subgroup(g: GroupTable, seed: int) -> int:
         if 2 * len(elems) > n:
             return full
     return mask
+
+
+def subgroup_joins(g: GroupTable) -> Callable[[int, int], int]:
+    """``join(h, x)``: the subgroup generated by subgroup ``h`` and element ``x``.
+
+    One closure per (subgroup, element) pair outside it, memoized, so a
+    caller that meets the same join from many positions pays for it once.
+    Exact for any set P with ``h = <P>``: <P ∪ {x}> = <<P> ∪ {x}>.
+    """
+    memo: dict[tuple[int, int], int] = {}
+
+    def join(h: int, x: int) -> int:
+        if (h >> x) & 1:
+            return h
+        j = memo.get((h, x))
+        if j is None:
+            j = memo[h, x] = generated_subgroup(g, h | (1 << x))
+        return j
+
+    return join
 
 
 def is_generating(g: GroupTable, mask: int) -> bool:

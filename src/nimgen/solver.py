@@ -5,11 +5,15 @@ whoever first makes the chosen set generate the whole group wins.  DNG is the
 avoidance game: a player forced to complete a generating set loses.  Both are
 scored by Sprague-Grundy values over the position DAG.
 
-The brute solver walks positions directly.  The structure solver evaluates
-either game per structure class: inside a class, positions of the carrier's
-parity and of the opposite parity each share one nim value, so two mex
-equations per class suffice.  The games differ only in the terminal class,
-an option in GEN and never one in DNG.
+The brute solver walks positions directly, reading only the Cayley table.
+It carries each position's generated subgroup down the search, so a move's
+closure is a join of that subgroup with one element, memoized per
+(subgroup, element) pair: one closure per join, not one per position.
+
+The structure solver evaluates either game per structure class: inside a
+class, positions of the carrier's parity and of the opposite parity each
+share one nim value, so two mex equations per class suffice.  The games
+differ only in the terminal class, an option in GEN and never one in DNG.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping
 
 from .errors import CapacityError, InternalInvariantError
-from .groups import GroupSpec, GroupTable, build_group, generated_subgroup
+from .groups import GroupSpec, GroupTable, build_group, subgroup_joins
 from .lattice import (
     DEFAULT_ORDER_CAP,
     TERMINAL,
@@ -51,7 +55,13 @@ def mex(values: Iterable[int]) -> int:
 
 def brute_search(g: GroupTable, variant: Variant = GEN, *,
                  brute_cap: int = DEFAULT_BRUTE_CAP) -> dict[int, int]:
-    """Memoized nim values for every position reachable from the empty set."""
+    """Memoized nim values for every position reachable from the empty set.
+
+    A child ``mask | 1 << x`` of a position generating ``h`` generates
+    ``join(h, x)``, since <P ∪ {x}> = <<P> ∪ {x}>; the joins are memoized
+    per (subgroup, element), so a group with S subgroups needs at most
+    S × |G| closures however many positions it has.
+    """
     _check_variant(variant)
     if g.order < 2:
         raise ValueError("game solvers require a group of order at least 2")
@@ -59,38 +69,37 @@ def brute_search(g: GroupTable, variant: Variant = GEN, *,
         raise CapacityError(
             f"brute-force search capped at order {brute_cap}, group has order {g.order}")
     full = g.full_mask
-    closures: dict[int, int] = {}
-
-    def closure(mask: int) -> int:
-        c = closures.get(mask)
-        if c is None:
-            c = generated_subgroup(g, mask)
-            closures[mask] = c
-        return c
-
+    gen = variant == GEN
+    join = subgroup_joins(g)
     memo: dict[int, int] = {}
 
-    def nim(mask: int) -> int:
-        v = memo.get(mask)
-        if v is not None:
-            return v
+    # ``h`` is the subgroup that ``mask`` generates.  The search never
+    # enters a generating position: the root is the empty set, and a child
+    # is entered only when its join is a proper subgroup.
+    def nim(mask: int, h: int) -> int:
         values = set()
-        if variant == GEN:
-            if closure(mask) != full:
-                for x in range(g.order):
-                    if not (mask >> x) & 1:
-                        values.add(nim(mask | (1 << x)))
-        else:
-            for x in range(g.order):
-                if not (mask >> x) & 1:
-                    child = mask | (1 << x)
-                    if closure(child) != full:
-                        values.add(nim(child))
+        rest = full & ~mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            child = mask | bit
+            j = join(h, bit.bit_length() - 1)
+            if j == full:
+                # A generating position ends GEN with value 0; in DNG no
+                # move may reach it.
+                if gen:
+                    memo[child] = 0
+                    values.add(0)
+                continue
+            v = memo.get(child)
+            if v is None:
+                v = nim(child, j)
+            values.add(v)
         v = mex(values)
         memo[mask] = v
         return v
 
-    nim(0)
+    nim(0, 1)
     return memo
 
 

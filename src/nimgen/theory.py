@@ -22,9 +22,9 @@ from .groups import (
     build_cyclic,
     dihedralize,
     direct_product,
-    generated_subgroup,
     parse_group_spec,
     prime_factors,
+    subgroup_joins,
 )
 from .lattice import (
     DEFAULT_ORDER_CAP,
@@ -53,18 +53,25 @@ EXHAUSTIVE_CAP = 14  # largest order whose 2^|G| subsets are searched
 def exhaustive_deficiency_map(g: GroupTable) -> list[int]:
     """Deficiency of every subset: fewest extra elements needed to generate.
 
-    Dynamic programming over all masks from the largest integer down: each
-    one-element extension of a mask is a larger integer, so it is settled
-    first.  Intended as a small-group oracle; cost is 2^|G| closures.
+    Two passes over all masks.  Upwards, each mask's span is the join of
+    the span without its lowest element with that element, one memoized
+    closure per (subgroup, element).  Downwards, each one-element extension
+    of a mask is a larger integer, so it is settled first.  Intended as a
+    small-group oracle; cost is 2^|G| joins.
     """
     n = g.order
     if n > EXHAUSTIVE_CAP:
         raise CapacityError(
             f"exhaustive deficiency map capped at order {EXHAUSTIVE_CAP}")
     full = g.full_mask
+    join = subgroup_joins(g)
+    span = [1] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        span[mask] = join(span[mask ^ low], low.bit_length() - 1)
     delta = [0] * (1 << n)
     for mask in reversed(range(1 << n)):
-        if generated_subgroup(g, mask) != full:
+        if span[mask] != full:
             delta[mask] = 1 + min(
                 delta[mask | (1 << x)] for x in range(n) if not (mask >> x) & 1)
     return delta

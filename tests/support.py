@@ -53,6 +53,55 @@ def exhaustive_map(spec: str) -> tuple:
     return tuple(ng.exhaustive_deficiency_map(group(spec)))
 
 
+def reference_brute_search(g: ng.GroupTable, variant: str = ng.GEN) -> dict[int, int]:
+    """Memoized nim values of every position reachable from the empty set,
+    with one ``generated_subgroup`` closure per position: the reference
+    for the memoized-join search of ``brute_search``."""
+    full = g.full_mask
+    closures: dict[int, int] = {}
+
+    def closure(mask: int) -> int:
+        if mask not in closures:
+            closures[mask] = ng.generated_subgroup(g, mask)
+        return closures[mask]
+
+    memo: dict[int, int] = {}
+
+    def nim(mask: int) -> int:
+        if mask in memo:
+            return memo[mask]
+        values = set()
+        if variant == ng.GEN:
+            if closure(mask) != full:
+                for x in range(g.order):
+                    if not (mask >> x) & 1:
+                        values.add(nim(mask | (1 << x)))
+        else:
+            for x in range(g.order):
+                if not (mask >> x) & 1:
+                    child = mask | (1 << x)
+                    if closure(child) != full:
+                        values.add(nim(child))
+        memo[mask] = ng.mex(values)
+        return memo[mask]
+
+    nim(0)
+    return memo
+
+
+def reference_deficiency_map(g: ng.GroupTable) -> list[int]:
+    """Deficiency of every subset with one ``generated_subgroup`` closure
+    per mask: the reference for the memoized joins of
+    ``exhaustive_deficiency_map``."""
+    n = g.order
+    delta = [0] * (1 << n)
+    for mask in reversed(range(1 << n)):
+        if ng.generated_subgroup(g, mask) != g.full_mask:
+            delta[mask] = 1 + min(
+                delta[mask | (1 << x)] for x in range(n) if not (mask >> x) & 1)
+    return delta
+
+
 def reference_subgroups(g: ng.GroupTable) -> tuple[int, ...]:
     """Every subgroup mask, sorted like ``all_subgroups``, by join closure.
 

@@ -236,6 +236,9 @@ def test_verify_capacity_exit(capsys):
     ("table", "Zn", "--n", "100000..100000"),
     ("diagram", "Z100000"),
     ("verify", "Z100000"),
+    # a table file counts at least 1, a Dih inside a Dih twice its inner bound
+    ("solve", "Z100000xtable:k4.tbl"),
+    ("solve", "Z100000xDih(Dih(Z3))"),
 ])
 def test_over_cap_builds_no_table(argv, capsys, monkeypatch):
     # Builders that refuse large results: a spec over the order cap must be
@@ -259,6 +262,12 @@ def test_over_cap_builds_no_table(argv, capsys, monkeypatch):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert "capped at order 200" in out + err
+
+
+def test_nested_dih_within_cap_is_built_and_refused(capsys):
+    code, out, _ = run(capsys, "solve", "Z2xDih(Dih(Z3))")
+    assert code == 2
+    assert "Dih(Z3) is not abelian" in out
 
 
 def test_cache_round_trip(tmp_path, capsys):

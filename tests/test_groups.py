@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nimgen as ng
-from nimgen.groups import Cyclic, Dih, Product
+from nimgen.groups import Cyclic, Dih, Product, subgroup_joins
 
 import support
 
@@ -104,6 +104,17 @@ def test_generated_subgroup_is_closed_and_monotone(seed):
             assert got & (1 << g.mul[x][y])
     # closing again changes nothing
     assert ng.generated_subgroup(g, got) == got
+
+
+@pytest.mark.parametrize("spec", ["Z12", "Dih(Z6)", "Z2xZ2xZ2"])
+def test_subgroup_joins_match_closures(spec):
+    g = support.group(spec)
+    join = subgroup_joins(g)
+    for h in ng.all_subgroups(g):
+        for x in range(g.order):
+            want = h if (h >> x) & 1 else ng.generated_subgroup(g, h | (1 << x))
+            assert join(h, x) == want
+            assert join(h, x) == want  # a memo hit answers the same
 
 
 def test_parse_simple_specs():

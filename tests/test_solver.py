@@ -50,6 +50,51 @@ def test_brute_caps():
         ng.brute_nim(ng.build_cyclic(1), ng.GEN)
 
 
+@pytest.mark.parametrize("variant", [ng.GEN, ng.DNG])
+@pytest.mark.parametrize("spec,seed", [
+    *((spec, None) for spec in ng.SMALL_CATALOG + ("Z2xZ2xZ2xZ2",)),
+    ("Dih(Z2xZ4)", 9),  # a seeded relabelling read back from a table
+])
+def test_brute_search_matches_reference(spec, seed, variant):
+    g = support.group(spec)
+    if seed is not None:
+        g = support.relabelled(g, seed)
+    assert ng.brute_search(g, variant) == support.reference_brute_search(g, variant)
+
+
+@pytest.mark.parametrize("variant", [ng.GEN, ng.DNG])
+def test_brute_matches_structure_above_brute_cap(variant):
+    # Every extended-catalog group of order 2..26, up to Dih(Z2xZ6), whose
+    # GEN search memoizes 326,016 positions.
+    specs = [s for s in ng.EXTENDED_CATALOG if 2 <= support.group(s).order <= 26]
+    assert {"Dih(Z12)", "Dih(Z3xZ3)", "Dih(Z2xZ6)"} <= set(specs)
+    for spec in specs:
+        g = support.group(spec)
+        assert ng.brute_nim(g, variant, brute_cap=g.order) == \
+            ng.structure_nim(g, support.lattice(spec), variant).game_nim, spec
+
+
+@pytest.mark.parametrize("variant", [ng.GEN, ng.DNG])
+def test_brute_search_closes_each_join_once(variant, monkeypatch):
+    # One closure per (subgroup, element) pair at most; a closure per
+    # position made 114,844 calls on Dih(Z13) in GEN.
+    import nimgen.groups
+
+    calls = []
+    closure = nimgen.groups.generated_subgroup
+
+    def counting(g, seed):
+        calls.append(seed)
+        return closure(g, seed)
+
+    g = support.group("Dih(Z13)")
+    bound = len(ng.all_subgroups(g)) * g.order
+    assert bound == 416
+    monkeypatch.setattr(nimgen.groups, "generated_subgroup", counting)
+    ng.brute_search(g, variant, brute_cap=g.order)
+    assert 0 < len(calls) <= bound
+
+
 def test_structure_nim_dihz4_frozen():
     nims = support.nims("Dih(Z4)")
     assert nims.per_class[0] == (0, 2)

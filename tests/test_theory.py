@@ -32,6 +32,12 @@ def test_exhaustive_map_z4():
     assert ng.exhaustive_deficiency_map(ng.build_cyclic(1)) == [0, 0]
 
 
+@pytest.mark.parametrize("spec", ["Z12", "Z13", "Dih(Z6)", "Dih(Z7)", "Z2xZ2xZ3"])
+def test_exhaustive_map_matches_reference(spec):
+    g = support.group(spec)
+    assert list(support.exhaustive_map(spec)) == support.reference_deficiency_map(g)
+
+
 def test_exhaustive_map_cap():
     with pytest.raises(ng.CapacityError):
         ng.exhaustive_deficiency_map(support.group("Dih(Z8)"))
