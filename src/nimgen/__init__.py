@@ -91,6 +91,7 @@ from .theory import (
     CheckReport,
     FamilyRecord,
     FamilyReport,
+    abelian_groups,
     check_deficiency_oracle,
     check_even_type_table,
     check_odd_case_lemmas,
@@ -125,7 +126,8 @@ __all__ = [
     "GEN", "DNG", "DEFAULT_BRUTE_CAP", "mex", "brute_search", "brute_nim", "ClassNimTable", "structure_nim",
     "SolveResult", "solve", "nim_of_game",
     # theory
-    "exhaustive_deficiency_map", "strata", "AbelianSpec", "predict_gen_dih",
+    "exhaustive_deficiency_map", "strata", "AbelianSpec", "abelian_groups",
+    "predict_gen_dih",
     "predict_dng_dih", "FamilyRecord", "FamilyReport", "verify_family",
     "CheckReport", "check_even_type_table", "check_option_deficiency",
     "check_odd_case_lemmas", "check_deficiency_oracle",

@@ -387,7 +387,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _parse_range(text: str) -> tuple[int, int]:
     if ".." in text:
         lo, _, hi = text.partition("..")
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
+        if lo > hi:
+            raise ValueError(text)
+        return lo, hi
     n = int(text)
     return n, n
 
@@ -400,7 +403,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     try:
         lo, hi = _parse_range(args.n)
     except ValueError:
-        print(f"error: bad range {args.n!r}; expected A..B", file=sys.stderr)
+        print(f"error: bad range {args.n!r}; expected A..B with A <= B",
+              file=sys.stderr)
         return 2
     records, code = _solve_records(
         [args.family.replace("Zn", f"Z{k}") for k in range(lo, hi + 1)], args)

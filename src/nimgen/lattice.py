@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .errors import CapacityError
 from .groups import (GroupTable, generated_subgroup, is_nilpotent, iter_mask,
-                     prime_factors)
+                     mask_of, prime_factors)
 
 TERMINAL = -1  # class id of the terminal class (the whole group)
 
@@ -37,32 +37,57 @@ def check_order_cap(order: int, order_cap: int) -> None:
 def all_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> tuple[int, ...]:
     """Masks of every subgroup, sorted by size, then by mask.
 
-    Every subgroup is the join of the cyclic subgroups inside it, so each
-    subgroup H found, from the trivial one on, is joined with one generator
-    c of every cyclic subgroup it lacks.  K = <H, c> is closed as a union
-    of right cosets of H, after Dimino's algorithm: from representative e,
-    for each representative r and each generator s of K (the tuple H was
-    found with, plus c) with r·s not yet in K, the coset H·(r·s) joins K
-    and r·s becomes a representative.  That costs O(|K| + #reps·#gens)
-    table lookups.  A proper subgroup has at most half the elements, so
-    once K passes |G|/2 it is the whole group, which is never joined.
+    Neubüser's cyclic extension, run up to conjugacy (Holt-Eick-O'Brien,
+    Handbook of Computational Group Theory, on subgroup lattices).  Every
+    subgroup is generated by its elements of prime-power order, so each
+    representative H, from the trivial subgroup on, is joined with one
+    generator c of every cyclic subgroup of prime-power order.  A join K
+    not seen before enters ``seen`` with all its conjugates, the orbit of
+    K under conjugation by a greedy generating set of G, and only K itself
+    is expanded; a join already seen is not.
+
+    This reaches every subgroup.  Take L = <c_1..c_m> with each c_i of
+    prime-power order, and the chain L_i = <c_1..c_i>.  Suppose L_i^g is
+    an expanded representative R.  Then L_{i+1}^g = <R, c_{i+1}^g>, and
+    c_{i+1}^g generates the same cyclic subgroup as one of the chosen
+    generators, so that join is made: L_{i+1}^g is a new representative
+    or a conjugate of one.  By induction from L_0 = 1, L is in ``seen``.
+
+    <H, c'> = <H, c> for every c' in the double coset HcH, so after each
+    join HcH is marked done for H and its generators are not joined again.
+    K = <H, c> is closed as a union of right cosets of H, after Dimino's
+    algorithm: from representative e, for each representative r and each
+    generator s of K (the tuple H was found with, plus c) with r·s not yet
+    in K, the coset H·(r·s) joins K and r·s becomes a representative.  That
+    costs O(|K| + #reps·#gens) table lookups.  |K| is a multiple of |H|
+    that divides |G|, so once K passes the largest proper such divisor it
+    is the whole group, which is never expanded.
     """
     check_order_cap(g.order, order_cap)
-    mul = g.mul
-    cyclic: dict[int, int] = {}  # mask of <x> -> its first generator x
-    for x in range(1, g.order):
+    n, mul, inv, full = g.order, g.mul, g.inv, g.full_mask
+    cyclic: dict[int, int] = {}  # mask of <x> of prime-power order -> x
+    for x in range(1, n):
         m, y = 1, x
         while y:
             m |= 1 << y
             y = mul[y][x]
-        cyclic.setdefault(m, x)
-    found = {1: ([0], ())}  # mask -> (elements, generating tuple)
-    frontier = [1]
+        if len(prime_factors(m.bit_count())) == 1:
+            cyclic.setdefault(m, x)
+    conj = []  # z -> s^-1·z·s, for each s of a greedy generating set
+    span = 1
+    for s in range(1, n):
+        if not (span >> s) & 1:
+            span = generated_subgroup(g, span | 1 << s)
+            conj.append(tuple(mul[mul[inv[s]][z]][s] for z in range(n)))
+    seen = {1, full}
+    frontier = [(1, [0], ())]  # (mask, elements, generating tuple)
     while frontier:
-        h = frontier.pop()
-        elems, gens = found[h]
+        h, elems, gens = frontier.pop()
+        size = len(elems)
+        limit = max((d for d in range(size, n, size) if n % d == 0), default=0)
+        done = h
         for c in cyclic.values():
-            if (h >> c) & 1:
+            if (done >> c) & 1:
                 continue
             k, k_elems, k_gens, reps = h, list(elems), gens + (c,), [0]
             for r in reps:
@@ -74,13 +99,27 @@ def all_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> tuple
                             k |= 1 << z
                         k_elems += coset
                         reps.append(t)
-                if 2 * len(k_elems) > g.order:
-                    k = g.full_mask
+                if len(k_elems) > limit:
+                    k = full
                     break
-            if k not in found:
-                found[k] = (k_elems, k_gens)
-                frontier.append(k)
-    return _by_size(found)
+            for a in elems:  # done |= HcH, one left coset a·c·H at a time
+                t = mul[a][c]
+                if not (done >> t) & 1:
+                    for z in elems:
+                        done |= 1 << mul[t][z]
+            if k in seen:
+                continue
+            seen.add(k)
+            frontier.append((k, k_elems, k_gens))
+            orbit = [k_elems]
+            for members in orbit:
+                for perm in conj:
+                    image = [perm[z] for z in members]
+                    m = mask_of(image)
+                    if m not in seen:
+                        seen.add(m)
+                        orbit.append(image)
+    return _by_size(seen)
 
 
 def _nilpotent_maximals(g: GroupTable) -> list[int]:

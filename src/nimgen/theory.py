@@ -11,7 +11,8 @@ against computed values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from itertools import product
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import CapacityError, OutOfScopeError
 from .groups import (
@@ -136,6 +137,39 @@ class AbelianSpec:
         for f in self.factors[1:]:
             g = direct_product(g, build_cyclic(f))
         return g
+
+
+def _partitions(e: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``e`` into parts of at most ``largest``, largest first."""
+    if e == 0:
+        yield ()
+    for first in range(min(e, largest), 0, -1):
+        for rest in _partitions(e - first, first):
+            yield (first,) + rest
+
+
+def abelian_groups(order: int) -> tuple[AbelianSpec, ...]:
+    """Every abelian group of ``order`` up to isomorphism, by invariant factors.
+
+    An abelian group is the product of its Sylow subgroups, and the one of
+    order p^e is fixed by a partition of e.  The i-th largest invariant
+    factor multiplies the i-th largest part of every prime.
+    """
+    primes = sorted(prime_factors(order))
+    exponents = []
+    for p in primes:
+        e = 0
+        while order % p ** (e + 1) == 0:
+            e += 1
+        exponents.append(e)
+    out = []
+    for choice in product(*(_partitions(e, e) for e in exponents)):
+        factors = [1] * max(map(len, choice), default=1)
+        for p, parts in zip(primes, choice):
+            for i, k in enumerate(parts):
+                factors[i] *= p ** k
+        out.append(AbelianSpec(tuple(sorted(factors))))
+    return tuple(out)
 
 
 def _cyclic_factors(spec: GroupSpec) -> list[int]:

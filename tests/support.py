@@ -214,6 +214,32 @@ def relabelled(g: ng.GroupTable, seed: int) -> ng.GroupTable:
                                label=f"{g.label} relabelled {seed}")
 
 
+# Generators of small permutation groups, each permutation of 0..k-1 given
+# as the tuple of its images.
+PERMUTATION_GROUPS = {
+    "A4": ((1, 2, 0, 3), (1, 0, 3, 2)),        # (0 1 2), (0 1)(2 3)
+    "S4": ((1, 2, 3, 0), (1, 0, 2, 3)),        # (0 1 2 3), (0 1)
+    "A5": ((1, 2, 3, 4, 0), (1, 2, 0, 3, 4)),  # (0 1 2 3 4), (0 1 2)
+}
+
+
+def permutation_table(gens, label: str = "") -> ng.GroupTable:
+    """The group generated by permutations of 0..k-1, each given as the
+    tuple of its images, as a Cayley table with the identity first."""
+    identity = tuple(range(len(gens[0])))
+    elems, index = [identity], {identity: 0}
+    for p in elems:
+        for s in gens:
+            q = tuple(s[i] for i in p)
+            if q not in index:
+                index[q] = len(elems)
+                elems.append(q)
+    rows = [" ".join(str(index[tuple(b[i] for i in a)]) for b in elems)
+            for a in elems]
+    return ng.parse_table_text(f"{len(elems)}\n" + "\n".join(rows) + "\n",
+                               label=label)
+
+
 def small_orders(limit: int):
     """Catalog entries whose group order is at most ``limit``."""
     return [s for s in ng.SMALL_CATALOG if group(s).order <= limit]

@@ -120,10 +120,17 @@ def test_table_brute_mode(capsys):
     assert all(r[3] != "" and r[7] == "" for r in rows)
 
 
-def test_table_empty_range(capsys):
-    code, out, _ = run(capsys, "table", "Dih(Zn)", "--n", "5..4")
+def test_table_reversed_range_is_rejected(capsys):
+    # a reversed range once printed only the CSV header and exited 0
+    for text in ("5..3", "5..4"):
+        code, out, err = run(capsys, "table", "Dih(Zn)", "--n", text)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: bad range '{text}'; "
+                       "expected A..B with A <= B\n")
+    code, out, _ = run(capsys, "table", "Dih(Zn)", "--n", "5..5")
     assert code == 0
-    assert out == "spec,order,variant,nim,mode,d(G),millis,note\n"
+    assert len(out.splitlines()) == 2
 
 
 def test_table_requires_placeholder(capsys):

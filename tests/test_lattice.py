@@ -31,10 +31,36 @@ def test_dihedral_subgroup_count():
 
 
 def test_subgroups_match_join_closure_reference():
-    specs = ng.EXTENDED_CATALOG + ("Dih(Z2xZ2xZ2xZ2)", "Z2xZ4xZ8")
-    for spec in specs:
-        g = support.group(spec)
-        assert ng.all_subgroups(g) == support.reference_subgroups(g), spec
+    # products of dihedral groups have many conjugacy classes of subgroups;
+    # conjugation reads g.inv, so relabelled tables permute the inverses too
+    specs = ng.EXTENDED_CATALOG + (
+        "Dih(Z2xZ2xZ2xZ2)", "Z2xZ4xZ8", "Dih(Z3)xDih(Z5)", "Dih(Z3)xZ4",
+        "Dih(Z4)xDih(Z4)")
+    groups = [support.group(spec) for spec in specs]
+    groups += [support.relabelled(support.group(spec), seed)
+               for spec in ("Dih(Z15)", "Dih(Z3xZ6)") for seed in (1, 2)]
+    for g in groups:
+        assert ng.all_subgroups(g) == support.reference_subgroups(g), g.label
+
+
+@pytest.mark.parametrize("name,order,subgroups,maximals", [
+    ("A4", 12, 10, 5), ("S4", 24, 30, 8), ("A5", 60, 59, 21)])
+def test_permutation_group_subgroups(name, order, subgroups, maximals):
+    # A5 is not soluble: enumeration up to conjugacy needs no solubility
+    g = support.permutation_table(support.PERMUTATION_GROUPS[name], name)
+    assert g.order == order
+    assert not ng.is_nilpotent(g)
+    subs = ng.all_subgroups(g)
+    assert len(subs) == subgroups
+    assert subs == support.reference_subgroups(g)
+    maxi = ng.maximal_subgroups(g)
+    assert len(maxi) == maximals
+    assert maxi == support.reference_maximals(g)
+
+
+def test_trivial_group_subgroups():
+    # Z1 has no proper divisor to bound a join by
+    assert ng.all_subgroups(ng.build_cyclic(1)) == (1,)
 
 
 def test_subgroups_are_sorted_and_closed():

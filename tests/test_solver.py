@@ -75,6 +75,16 @@ def test_brute_matches_structure_above_brute_cap(variant):
 
 
 @pytest.mark.parametrize("variant", [ng.GEN, ng.DNG])
+def test_brute_matches_structure_on_permutation_groups(variant):
+    # A4 and S4 are not dihedral, so their maximals come from enumeration
+    for name, want in (("A4", 3), ("S4", 0)):
+        g = support.permutation_table(support.PERMUTATION_GROUPS[name], name)
+        nim = ng.structure_nim(g, ng.intersection_subgroups(g), variant).game_nim
+        assert nim == want, g.label
+        assert ng.brute_nim(g, variant, brute_cap=24) == nim, g.label
+
+
+@pytest.mark.parametrize("variant", [ng.GEN, ng.DNG])
 def test_brute_search_closes_each_join_once(variant, monkeypatch):
     # One closure per (subgroup, element) pair at most; a closure per
     # position made 114,844 calls on Dih(Z13) in GEN.

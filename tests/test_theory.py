@@ -124,6 +124,33 @@ def test_verify_family_agrees():
     assert all(r.d_dih == r.d_a + 1 for r in report.records)
 
 
+def test_abelian_groups_by_order():
+    assert [a.spec_string for a in ng.abelian_groups(1)] == ["Z1"]
+    assert [a.spec_string for a in ng.abelian_groups(72)] == [
+        "Z72", "Z3xZ24", "Z2xZ36", "Z6xZ12", "Z2xZ2xZ18", "Z2xZ6xZ6"]
+    # one partition of each prime's exponent: p(4) = 5 groups of order 16
+    assert len(ng.abelian_groups(16)) == 5
+    assert sum(len(ng.abelian_groups(n)) for n in range(2, 101)) == 184
+    for n in range(1, 101):
+        parts = ng.abelian_groups(n)
+        assert len(set(parts)) == len(parts)
+        for a in parts:
+            assert a.order == n
+            assert a.rank == len(a.factors) or a.factors == (1,)
+            assert all(y % x == 0 for x, y in zip(a.factors, a.factors[1:]))
+
+
+@pytest.mark.parametrize("variant", [ng.GEN, ng.DNG])
+def test_theorem_on_every_abelian_part_up_to_48(variant):
+    # the first 81 of the 184 parts swept up to |A| = 100
+    parts = [a for n in range(2, 49) for a in ng.abelian_groups(n)]
+    assert len(parts) == 81
+    report = ng.verify_family(parts, variant)
+    assert report.exit_code == 0
+    assert all(r.agree and r.frattini_match and r.d_dih == r.d_a + 1
+               for r in report.records)
+
+
 def test_verify_family_capacity_note():
     report = ng.verify_family([AbelianSpec.from_spec("Z5xZ5")], ng.GEN,
                               order_cap=10)
