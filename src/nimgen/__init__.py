@@ -96,7 +96,6 @@ from .theory import (
     check_even_type_table,
     check_odd_case_lemmas,
     check_option_deficiency,
-    exhaustive_deficiency_map,
     predict_dng_dih,
     predict_gen_dih,
     strata,
@@ -126,8 +125,7 @@ __all__ = [
     "GEN", "DNG", "DEFAULT_BRUTE_CAP", "mex", "brute_search", "brute_nim", "ClassNimTable", "structure_nim",
     "SolveResult", "solve", "nim_of_game",
     # theory
-    "exhaustive_deficiency_map", "strata", "AbelianSpec", "abelian_groups",
-    "predict_gen_dih",
+    "strata", "AbelianSpec", "abelian_groups", "predict_gen_dih",
     "predict_dng_dih", "FamilyRecord", "FamilyReport", "verify_family",
     "CheckReport", "check_even_type_table", "check_option_deficiency",
     "check_odd_case_lemmas", "check_deficiency_oracle",

@@ -305,8 +305,7 @@ def _suite_checks(suite: str, order_cap: int) -> tuple[list[CheckReport], list[s
         for s in SMALL_CATALOG:
             try:
                 g, lat, _, _, dt = workspace(s)
-                if g.order <= 12:
-                    checks.append(check_deficiency_oracle(g, lat, dt))
+                checks.append(check_deficiency_oracle(g, lat, dt))
             except NimgenError as exc:
                 notes.append(f"{s}: {exc}")
     return checks, notes

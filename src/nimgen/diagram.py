@@ -60,8 +60,6 @@ class SimplifiedDiagram:
 
 def type_of(nims: ClassNimTable, lat: IntersectionLattice, cid: int) -> TypeTriple:
     """Type triple of one class: parity and both within-class nim values."""
-    if cid == TERMINAL:
-        return TypeTriple(class_parity(lat, cid), 0, 0)
     even_nim, odd_nim = nims.per_class[cid]
     return TypeTriple(class_parity(lat, cid), even_nim, odd_nim)
 

@@ -48,11 +48,6 @@ def brute_memo(spec: str, variant: str = ng.GEN) -> dict:
     return ng.brute_search(group(spec), variant)
 
 
-@lru_cache(maxsize=None)
-def exhaustive_map(spec: str) -> tuple:
-    return tuple(ng.exhaustive_deficiency_map(group(spec)))
-
-
 def reference_brute_search(g: ng.GroupTable, variant: str = ng.GEN) -> dict[int, int]:
     """Memoized nim values of every position reachable from the empty set,
     with one ``generated_subgroup`` closure per position: the reference
@@ -91,8 +86,8 @@ def reference_brute_search(g: ng.GroupTable, variant: str = ng.GEN) -> dict[int,
 
 def reference_deficiency_map(g: ng.GroupTable) -> list[int]:
     """Deficiency of every subset with one ``generated_subgroup`` closure
-    per mask: the reference for the memoized joins of
-    ``exhaustive_deficiency_map``."""
+    per mask: the reference for the per-subgroup deficiencies behind
+    ``check_deficiency_oracle``."""
     n = g.order
     delta = [0] * (1 << n)
     for mask in reversed(range(1 << n)):

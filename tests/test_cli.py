@@ -231,6 +231,18 @@ def test_verify_dng_suite_json(capsys):
     assert all(r["agree"] for r in payload["records"])
 
 
+def test_verify_deficiency_suite_json(capsys):
+    # every SMALL_CATALOG group, orders 13 to 16 included
+    code, out, _ = run(capsys, "verify", "--suite", "deficiency",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["notes"] == []
+    checks = payload["checks"]
+    assert [c["name"] for c in checks] == ["deficiency-oracle"] * 29
+    assert all(c["violations"] == [] for c in checks)
+
+
 def test_verify_capacity_exit(capsys):
     code, out, _ = run(capsys, "verify", "Z5xZ5", "--order-cap", "10")
     assert code == 2

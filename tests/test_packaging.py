@@ -1,4 +1,5 @@
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,13 @@ import nimgen
 def test_every_exported_name_resolves():
     missing = [name for name in nimgen.__all__ if not hasattr(nimgen, name)]
     assert not missing
+
+
+def test_all_lists_exactly_the_public_names():
+    public = {name for name, value in vars(nimgen).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    assert set(nimgen.__all__) - {"__version__"} == public
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")

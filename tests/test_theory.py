@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 
 import nimgen as ng
-from nimgen.theory import AbelianSpec
+from nimgen.theory import AbelianSpec, _subgroup_deficiencies
 
 import support
 
@@ -22,25 +24,28 @@ def test_deficiency_known_d_values():
     assert support.deficiencies("Dih(Z2xZ2xZ2)").d_g == 4
 
 
+def _per_mask(g):
+    """Deficiency of every subset, read off the subgroup it generates."""
+    delta = _subgroup_deficiencies(g)
+    return [delta[ng.generated_subgroup(g, m)] for m in range(1 << g.order)]
+
+
 def test_exhaustive_map_z4():
-    delta = support.exhaustive_map("Z4")
+    assert _subgroup_deficiencies(support.group("Z4")) == {
+        0b0001: 1, 0b0101: 1, 0b1111: 0}
+    delta = _per_mask(support.group("Z4"))
     assert delta[0] == 1
     assert delta[0b0001] == 1
     assert delta[0b0101] == 1   # {e, g^2} still needs one generator
     assert delta[0b0010] == 0
     assert delta[0b1111] == 0
-    assert ng.exhaustive_deficiency_map(ng.build_cyclic(1)) == [0, 0]
+    assert _per_mask(ng.build_cyclic(1)) == [0, 0]
 
 
 @pytest.mark.parametrize("spec", ["Z12", "Z13", "Dih(Z6)", "Dih(Z7)", "Z2xZ2xZ3"])
 def test_exhaustive_map_matches_reference(spec):
     g = support.group(spec)
-    assert list(support.exhaustive_map(spec)) == support.reference_deficiency_map(g)
-
-
-def test_exhaustive_map_cap():
-    with pytest.raises(ng.CapacityError):
-        ng.exhaustive_deficiency_map(support.group("Dih(Z8)"))
+    assert _per_mask(g) == support.reference_deficiency_map(g)
 
 
 def test_strata_dihz4():
@@ -53,11 +58,41 @@ def test_strata_dihz4():
 
 
 def test_deficiency_oracle_small():
-    for spec in support.small_orders(12):
+    for spec in ng.SMALL_CATALOG:
         report = ng.check_deficiency_oracle(
             support.group(spec), support.lattice(spec),
             support.deficiencies(spec))
         assert report.ok, (spec, report.violations)
+        assert report.checked == len(ng.all_subgroups(support.group(spec)))
+
+
+def test_deficiency_oracle_beyond_small_catalog():
+    groups = [support.group(s) for s in ng.EXTENDED_CATALOG
+              if s not in ng.SMALL_CATALOG]
+    groups += [support.permutation_table(gens, name)
+               for name, gens in support.PERMUTATION_GROUPS.items()]
+    groups += [support.relabelled(support.group("Dih(Z3xZ6)"), seed)
+               for seed in (1, 2)]
+    for g in groups:
+        lat = ng.intersection_subgroups(g)
+        report = ng.check_deficiency_oracle(g, lat, ng.deficiency_table(lat))
+        assert report.ok, (g.label, report.violations)
+
+
+def test_deficiency_oracle_flags_wrong_table():
+    g, lat = support.group("Dih(Z4)"), support.lattice("Dih(Z4)")
+    dt = support.deficiencies("Dih(Z4)")
+    for cid in range(len(lat.intersections)):
+        per_class = dict(dt.per_class)
+        per_class[cid] += 1
+        report = ng.check_deficiency_oracle(
+            g, lat, dataclasses.replace(dt, per_class=per_class))
+        assert not report.ok
+        assert all(f" its class {cid} sits " in v for v in report.violations)
+    report = ng.check_deficiency_oracle(
+        g, lat, dataclasses.replace(dt, d_g=dt.d_g + 1))
+    assert report.violations == (
+        "the trivial subgroup needs 2 elements but d(G) was computed as 3",)
 
 
 def test_abelian_spec_parsing():
@@ -125,6 +160,9 @@ def test_verify_family_agrees():
 
 
 def test_abelian_groups_by_order():
+    for order in (0, -4):
+        with pytest.raises(ValueError):
+            ng.abelian_groups(order)
     assert [a.spec_string for a in ng.abelian_groups(1)] == ["Z1"]
     assert [a.spec_string for a in ng.abelian_groups(72)] == [
         "Z72", "Z3xZ24", "Z2xZ36", "Z6xZ12", "Z2xZ2xZ18", "Z2xZ6xZ6"]
