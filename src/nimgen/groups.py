@@ -178,24 +178,38 @@ def generated_subgroup(g: GroupTable, seed: int) -> int:
     return mask
 
 
-def subgroup_joins(g: GroupTable) -> Callable[[int, int], int]:
-    """``join(h, x)``: the subgroup generated by subgroup ``h`` and element ``x``.
+def subgroup_joins(g: GroupTable) -> Callable[[int], dict[int, int]]:
+    """``joins(h)``: each subgroup <h, x> for x outside subgroup ``h``, mapped
+    to the mask of the elements x that give it.
 
-    One closure per (subgroup, element) pair outside it, memoized, so a
-    caller that meets the same join from many positions pays for it once.
-    Exact for any set P with ``h = <P>``: <P ∪ {x}> = <<P> ∪ {x}>.
+    <H, x> = <H, y> for every y in the double coset HxH, so each double coset
+    costs one closure.  Results are memoized per ``h``.  Exact for any set P
+    with ``h = <P>``: <P ∪ {x}> = <<P> ∪ {x}>.
     """
-    memo: dict[tuple[int, int], int] = {}
+    mul = g.mul
+    memo: dict[int, dict[int, int]] = {}
 
-    def join(h: int, x: int) -> int:
-        if (h >> x) & 1:
-            return h
-        j = memo.get((h, x))
-        if j is None:
-            j = memo[h, x] = generated_subgroup(g, h | (1 << x))
-        return j
+    def joins(h: int) -> dict[int, int]:
+        out = memo.get(h)
+        if out is None:
+            out = memo[h] = {}
+            elems = list(iter_mask(h))
+            rest = g.full_mask & ~h
+            while rest:
+                x = (rest & -rest).bit_length() - 1
+                coset = 0  # HxH, one left coset a·x·H at a time
+                for a in elems:
+                    t = mul[a][x]
+                    if not (coset >> t) & 1:
+                        row = mul[t]
+                        for z in elems:
+                            coset |= 1 << row[z]
+                j = generated_subgroup(g, h | (1 << x))
+                out[j] = out.get(j, 0) | coset
+                rest &= ~coset
+        return out
 
-    return join
+    return joins
 
 
 def is_generating(g: GroupTable, mask: int) -> bool:

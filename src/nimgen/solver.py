@@ -6,9 +6,9 @@ avoidance game: a player forced to complete a generating set loses.  Both are
 scored by Sprague-Grundy values over the position DAG.
 
 The brute solver walks positions directly, reading only the Cayley table.
-It carries each position's generated subgroup down the search, so a move's
-closure is a join of that subgroup with one element, memoized per
-(subgroup, element) pair: one closure per join, not one per position.
+It carries each position's generated subgroup down the search.  Each reached
+subgroup H gets one list of moves, built from one closure per double coset
+HxH, so the inner loop makes no call per move and takes the mex of a bitset.
 
 The structure solver evaluates either game per structure class: inside a
 class, positions of the carrier's parity and of the opposite parity each
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping
 
 from .errors import CapacityError, InternalInvariantError
-from .groups import GroupSpec, GroupTable, build_group, subgroup_joins
+from .groups import GroupSpec, GroupTable, build_group, iter_mask, subgroup_joins
 from .lattice import (
     DEFAULT_ORDER_CAP,
     TERMINAL,
@@ -58,9 +58,9 @@ def brute_search(g: GroupTable, variant: Variant = GEN, *,
     """Memoized nim values for every position reachable from the empty set.
 
     A child ``mask | 1 << x`` of a position generating ``h`` generates
-    ``join(h, x)``, since <P ∪ {x}> = <<P> ∪ {x}>; the joins are memoized
-    per (subgroup, element), so a group with S subgroups needs at most
-    S × |G| closures however many positions it has.
+    <h, x>, since <P ∪ {x}> = <<P> ∪ {x}>.  Each reached subgroup gets its
+    move list once, from one closure per double coset HxH (``subgroup_joins``),
+    so the search needs far fewer closures than positions or moves.
     """
     _check_variant(variant)
     if g.order < 2:
@@ -70,32 +70,39 @@ def brute_search(g: GroupTable, variant: Variant = GEN, *,
             f"brute-force search capped at order {brute_cap}, group has order {g.order}")
     full = g.full_mask
     gen = variant == GEN
-    join = subgroup_joins(g)
+    joins = subgroup_joins(g)
+    # subgroup -> ((bit, join) of each non-generating move, generating bits)
+    moves: dict[int, tuple[list[tuple[int, int]], list[int]]] = {}
     memo: dict[int, int] = {}
 
     # ``h`` is the subgroup that ``mask`` generates.  The search never
     # enters a generating position: the root is the empty set, and a child
     # is entered only when its join is a proper subgroup.
     def nim(mask: int, h: int) -> int:
-        values = set()
-        rest = full & ~mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            child = mask | bit
-            j = join(h, bit.bit_length() - 1)
-            if j == full:
-                # A generating position ends GEN with value 0; in DNG no
-                # move may reach it.
-                if gen:
-                    memo[child] = 0
-                    values.add(0)
+        m = moves.get(h)
+        if m is None:
+            js = joins(h)
+            steps = [(1 << x, h) for x in iter_mask(h)]
+            steps += [(1 << x, j) for j, xs in js.items() if j != full
+                      for x in iter_mask(xs)]
+            wins = [1 << x for x in iter_mask(js.get(full, 0))] if gen else []
+            m = moves[h] = (steps, wins)
+        steps, wins = m
+        seen = 0
+        for bit, j in steps:
+            if mask & bit:
                 continue
+            child = mask | bit
             v = memo.get(child)
             if v is None:
                 v = nim(child, j)
-            values.add(v)
-        v = mex(values)
+            seen |= 1 << v
+        # A generating position ends GEN with value 0; in DNG no move may
+        # reach it.  Generating elements lie outside h, so never in mask.
+        for bit in wins:
+            memo[mask | bit] = 0
+            seen |= 1
+        v = (~seen & (seen + 1)).bit_length() - 1  # mex: lowest clear bit
         memo[mask] = v
         return v
 

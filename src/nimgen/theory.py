@@ -22,9 +22,9 @@ from .groups import (
     GroupTable,
     Product,
     build_cyclic,
+    canonical_spec,
     dihedralize,
     direct_product,
-    iter_mask,
     parse_group_spec,
     prime_factors,
     subgroup_joins,
@@ -53,36 +53,24 @@ if TYPE_CHECKING:
 def _subgroup_deficiencies(g: GroupTable) -> dict[int, int]:
     """Deficiency of every subgroup: fewest extra elements that generate G.
 
-    From the trivial subgroup, each subgroup H found is joined with one x of
-    every double coset HxH, as <H, x'> = <H, x> for all x' in HxH; the chain
-    <x_1>, <x_1, x_2>, ... of any generating tuple reaches every subgroup.
+    From the trivial subgroup, each subgroup H found is joined with every
+    element outside it, one closure per double coset HxH (``subgroup_joins``);
+    the chain <x_1>, <x_1, x_2>, ... of any generating tuple reaches every
+    subgroup.
     A join is larger than H, so one pass from the largest subgroup down sets
     delta(G) = 0 and delta(H) = 1 + the least delta of its joins.
     """
-    mul = g.mul
-    join = subgroup_joins(g)
-    joins: dict[int, list[int]] = {1: []}
+    joins = subgroup_joins(g)
+    found = {1}
     frontier = [1]
     while frontier:
-        h = frontier.pop()
-        elems = list(iter_mask(h))
-        done = h
-        for x in range(g.order):
-            if (done >> x) & 1:
-                continue
-            for a in elems:  # done |= HxH, one left coset a·x·H at a time
-                t = mul[a][x]
-                if not (done >> t) & 1:
-                    for z in elems:
-                        done |= 1 << mul[t][z]
-            k = join(h, x)
-            joins[h].append(k)
-            if k not in joins:
-                joins[k] = []
+        for k in joins(frontier.pop()):
+            if k not in found:
+                found.add(k)
                 frontier.append(k)
     delta = {g.full_mask: 0}
-    for h in sorted(joins, key=int.bit_count, reverse=True)[1:]:
-        delta[h] = 1 + min(delta[k] for k in joins[h])
+    for h in sorted(found, key=int.bit_count, reverse=True)[1:]:
+        delta[h] = 1 + min(delta[k] for k in joins(h))
     return delta
 
 
@@ -187,7 +175,7 @@ def _cyclic_factors(spec: GroupSpec) -> list[int]:
         return [spec.n]
     if isinstance(spec, Product):
         return _cyclic_factors(spec.left) + _cyclic_factors(spec.right)
-    raise ValueError(f"not a direct product of cyclic groups: {spec!r}")
+    raise ValueError(f"not a direct product of cyclic groups: {canonical_spec(spec)}")
 
 
 def predict_gen_dih(a: AbelianSpec) -> int:

@@ -14,6 +14,9 @@ import nimgen as ng
 
 @lru_cache(maxsize=None)
 def group(spec: str) -> ng.GroupTable:
+    """The group of a spec, or a ``PERMUTATION_GROUPS`` group by its name."""
+    if spec in PERMUTATION_GROUPS:
+        return permutation_table(PERMUTATION_GROUPS[spec], spec)
     return ng.build_group(spec)
 
 

@@ -216,6 +216,12 @@ def test_verify_out_of_scope(capsys):
     assert "skip" in out
 
 
+def test_verify_rejects_non_abelian_part(capsys):
+    code, _, err = run(capsys, "verify", "Dih(Z3)")
+    assert code == 2
+    assert "error: not a direct product of cyclic groups: Dih(Z3)" in err
+
+
 def test_verify_rejects_specs_plus_suite(capsys):
     code, _, err = run(capsys, "verify", "Z5", "--suite", "dng")
     assert code == 2

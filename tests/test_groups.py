@@ -106,15 +106,22 @@ def test_generated_subgroup_is_closed_and_monotone(seed):
     assert ng.generated_subgroup(g, got) == got
 
 
-@pytest.mark.parametrize("spec", ["Z12", "Dih(Z6)", "Z2xZ2xZ2"])
+# A4 and S4 have non-normal subgroups whose double cosets HxH span several
+# left cosets xH.
+@pytest.mark.parametrize("spec", ["Z12", "Dih(Z6)", "Z2xZ2xZ2", "A4", "S4"])
 def test_subgroup_joins_match_closures(spec):
     g = support.group(spec)
-    join = subgroup_joins(g)
+    joins = subgroup_joins(g)
     for h in ng.all_subgroups(g):
-        for x in range(g.order):
-            want = h if (h >> x) & 1 else ng.generated_subgroup(g, h | (1 << x))
-            assert join(h, x) == want
-            assert join(h, x) == want  # a memo hit answers the same
+        got = joins(h)
+        assert joins(h) is got  # memoized per subgroup
+        covered = 0
+        for k, xs in got.items():
+            assert xs and not xs & (covered | h)  # the masks partition G \ h
+            covered |= xs
+            for x in ng.iter_mask(xs):
+                assert ng.generated_subgroup(g, h | (1 << x)) == k
+        assert covered == g.full_mask & ~h
 
 
 def test_parse_simple_specs():

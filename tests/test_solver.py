@@ -53,6 +53,7 @@ def test_brute_caps():
 @pytest.mark.parametrize("variant", [ng.GEN, ng.DNG])
 @pytest.mark.parametrize("spec,seed", [
     *((spec, None) for spec in ng.SMALL_CATALOG + ("Z2xZ2xZ2xZ2",)),
+    ("A4", None),  # non-normal subgroups of index 3 and 4
     ("Dih(Z2xZ4)", 9),  # a seeded relabelling read back from a table
 ])
 def test_brute_search_matches_reference(spec, seed, variant):
@@ -78,7 +79,7 @@ def test_brute_matches_structure_above_brute_cap(variant):
 def test_brute_matches_structure_on_permutation_groups(variant):
     # A4 and S4 are not dihedral, so their maximals come from enumeration
     for name, want in (("A4", 3), ("S4", 0)):
-        g = support.permutation_table(support.PERMUTATION_GROUPS[name], name)
+        g = support.group(name)
         nim = ng.structure_nim(g, ng.intersection_subgroups(g), variant).game_nim
         assert nim == want, g.label
         assert ng.brute_nim(g, variant, brute_cap=24) == nim, g.label
@@ -86,8 +87,7 @@ def test_brute_matches_structure_on_permutation_groups(variant):
 
 @pytest.mark.parametrize("variant", [ng.GEN, ng.DNG])
 def test_brute_search_closes_each_join_once(variant, monkeypatch):
-    # One closure per (subgroup, element) pair at most; a closure per
-    # position made 114,844 calls on Dih(Z13) in GEN.
+    # One closure per (subgroup H, double coset HxH outside H) at most.
     import nimgen.groups
 
     calls = []
@@ -98,8 +98,16 @@ def test_brute_search_closes_each_join_once(variant, monkeypatch):
         return closure(g, seed)
 
     g = support.group("Dih(Z13)")
-    bound = len(ng.all_subgroups(g)) * g.order
-    assert bound == 416
+    mul = g.mul
+    bound = 0
+    for h in ng.all_subgroups(g):
+        rest = g.full_mask & ~h
+        while rest:
+            x = (rest & -rest).bit_length() - 1
+            rest &= ~ng.mask_of(mul[mul[a][x]][b]
+                                for a in ng.iter_mask(h) for b in ng.iter_mask(h))
+            bound += 1
+    assert bound == 104
     monkeypatch.setattr(nimgen.groups, "generated_subgroup", counting)
     ng.brute_search(g, variant, brute_cap=g.order)
     assert 0 < len(calls) <= bound
