@@ -255,7 +255,8 @@ def cmd_diagram(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
-        _, _, _, digraph, _ = _verify_workspace(args.spec, args.order_cap)
+        g, lat, dt = _verify_workspace(args.spec, args.order_cap)
+        digraph = build_digraph(g, lat, structure_nim(g, lat), dt)
         drawing = simplify(digraph) if args.simplified else digraph
     except (NimgenError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -270,33 +271,33 @@ def cmd_diagram(args: argparse.Namespace) -> int:
 
 
 def _verify_workspace(spec_str: str, order_cap: int):
-    """Group, lattice, GEN class nims, digraph and deficiencies of a spec."""
+    """Group, lattice and class deficiencies of a spec."""
     g = _build_capped(parse_group_spec(spec_str), order_cap)
     if g.order < 2:
         raise OutOfScopeError("generation games need a group of order at least 2")
     lat = intersection_subgroups(g, order_cap=order_cap)
-    nims = structure_nim(g, lat)
-    dt = deficiency_table(lat)
-    return g, lat, nims, build_digraph(g, lat, nims, dt), dt
+    return g, lat, deficiency_table(lat)
 
 
 def _suite_checks(suite: str, order_cap: int) -> tuple[list[CheckReport], list[str]]:
     checks: list[CheckReport] = []
     notes: list[str] = []
-    # The even-types and deficiency suites share the SMALL_CATALOG groups.
+    # Suites share groups; nim tables are built only for suites that read them.
     workspace = functools.cache(lambda s: _verify_workspace(s, order_cap))
+    gen_nims = functools.cache(lambda s: structure_nim(*workspace(s)[:2]))
     if suite in ("even-types", "all"):
         for s in SMALL_CATALOG:
             try:
-                g, lat, nims, _, dt = workspace(s)
+                g, lat, dt = workspace(s)
                 if g.order % 2 == 0:
-                    checks.append(check_even_type_table(g, lat, dt, nims))
+                    checks.append(check_even_type_table(g, lat, dt, gen_nims(s)))
             except NimgenError as exc:
                 notes.append(f"{s}: {exc}")
     if suite in ("odd-lemmas", "all"):
         for s in _ODD_SUITE:
             try:
-                g, lat, nims, digraph, dt = workspace(s)
+                g, lat, dt = workspace(s)
+                digraph = build_digraph(g, lat, gen_nims(s), dt)
                 checks.append(check_option_deficiency(digraph, dt, subject=s))
                 checks.append(check_odd_case_lemmas(digraph, dt, subject=s))
             except NimgenError as exc:
@@ -304,8 +305,7 @@ def _suite_checks(suite: str, order_cap: int) -> tuple[list[CheckReport], list[s
     if suite in ("deficiency", "all"):
         for s in SMALL_CATALOG:
             try:
-                g, lat, _, _, dt = workspace(s)
-                checks.append(check_deficiency_oracle(g, lat, dt))
+                checks.append(check_deficiency_oracle(*workspace(s)))
             except NimgenError as exc:
                 notes.append(f"{s}: {exc}")
     return checks, notes
@@ -411,14 +411,25 @@ def cmd_table(args: argparse.Namespace) -> int:
     return code
 
 
+def _cap(text: str) -> int:
+    """A non-negative order cap; argparse reports anything else."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _add_brute_cap(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--brute-cap", type=int, default=DEFAULT_BRUTE_CAP,
+    p.add_argument("--brute-cap", type=_cap, default=DEFAULT_BRUTE_CAP,
                    help="largest order solved by exhaustive search "
                         f"(default {DEFAULT_BRUTE_CAP})")
 
 
 def _add_order_cap(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP,
+    p.add_argument("--order-cap", type=_cap, default=DEFAULT_ORDER_CAP,
                    help="largest order whose maximal subgroups are computed "
                         f"(default {DEFAULT_ORDER_CAP})")
 

@@ -178,22 +178,60 @@ def generated_subgroup(g: GroupTable, seed: int) -> int:
     return mask
 
 
+def extend_subgroup(g: GroupTable, h: int, elems: list[int], gens: tuple[int, ...],
+                    x: int) -> tuple[int, list[int], tuple[int, ...]]:
+    """Mask, elements and generating tuple of K = <H, x>, for a subgroup H
+    (mask ``h``, elements ``elems``, generating tuple ``gens``) and x not in H.
+
+    Dimino's algorithm: K is a union of right cosets of H.  For each coset
+    representative r, from e, and each generator s of K with r·s not yet in
+    K, the coset H·(r·s) joins K and r·s becomes a representative, at
+    O(|K| + cosets·generators) table lookups.  |K| is a multiple of |H|
+    dividing |G|, so once K passes the largest proper such divisor it is G.
+    """
+    n, mul = g.order, g.mul
+    index, p = n // len(elems), 2
+    while index % p:
+        p += 1
+    limit = n // p  # the largest proper divisor of n that |H| divides
+    k, k_elems, k_gens, reps = h, list(elems), gens + (x,), [0]
+    for r in reps:
+        for s in k_gens:
+            t = mul[r][s]
+            if not (k >> t) & 1:
+                coset = [mul[z][t] for z in elems]
+                for z in coset:
+                    k |= 1 << z
+                k_elems += coset
+                reps.append(t)
+        if len(k_elems) > limit:
+            return g.full_mask, list(range(n)), k_gens
+    return k, k_elems, k_gens
+
+
 def subgroup_joins(g: GroupTable) -> Callable[[int], dict[int, int]]:
     """``joins(h)``: each subgroup <h, x> for x outside subgroup ``h``, mapped
     to the mask of the elements x that give it.
 
     <H, x> = <H, y> for every y in the double coset HxH, so each double coset
-    costs one closure.  Results are memoized per ``h``.  Exact for any set P
-    with ``h = <P>``: <P ∪ {x}> = <<P> ∪ {x}>.
+    costs one ``extend_subgroup`` of H's elements and generating tuple: those
+    of the first join that found H, else greedy ones.  Memoized per ``h``.
     """
     mul = g.mul
     memo: dict[int, dict[int, int]] = {}
+    found: dict[int, tuple[list[int], tuple[int, ...]]] = {1: ([0], ())}
 
     def joins(h: int) -> dict[int, int]:
         out = memo.get(h)
         if out is None:
             out = memo[h] = {}
-            elems = list(iter_mask(h))
+            if h in found:
+                elems, gens = found[h]
+            else:
+                k, elems, gens = 1, [0], ()
+                for x in iter_mask(h):
+                    if not (k >> x) & 1:
+                        k, elems, gens = extend_subgroup(g, k, elems, gens, x)
             rest = g.full_mask & ~h
             while rest:
                 x = (rest & -rest).bit_length() - 1
@@ -204,8 +242,9 @@ def subgroup_joins(g: GroupTable) -> Callable[[int], dict[int, int]]:
                         row = mul[t]
                         for z in elems:
                             coset |= 1 << row[z]
-                j = generated_subgroup(g, h | (1 << x))
-                out[j] = out.get(j, 0) | coset
+                k, k_elems, k_gens = extend_subgroup(g, h, elems, gens, x)
+                found.setdefault(k, (k_elems, k_gens))
+                out[k] = out.get(k, 0) | coset
                 rest &= ~coset
         return out
 

@@ -15,8 +15,8 @@ from itertools import product
 from typing import Mapping
 
 from .errors import CapacityError
-from .groups import (GroupTable, generated_subgroup, is_nilpotent, iter_mask,
-                     mask_of, prime_factors)
+from .groups import (GroupTable, extend_subgroup, generated_subgroup,
+                     is_nilpotent, iter_mask, mask_of, prime_factors)
 
 TERMINAL = -1  # class id of the terminal class (the whole group)
 
@@ -55,13 +55,8 @@ def all_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> tuple
 
     <H, c'> = <H, c> for every c' in the double coset HcH, so after each
     join HcH is marked done for H and its generators are not joined again.
-    K = <H, c> is closed as a union of right cosets of H, after Dimino's
-    algorithm: from representative e, for each representative r and each
-    generator s of K (the tuple H was found with, plus c) with r·s not yet
-    in K, the coset H·(r·s) joins K and r·s becomes a representative.  That
-    costs O(|K| + #reps·#gens) table lookups.  |K| is a multiple of |H|
-    that divides |G|, so once K passes the largest proper such divisor it
-    is the whole group, which is never expanded.
+    Each join, and the greedy generating set, is closed by Dimino's coset
+    extension (``extend_subgroup``) of the generating tuple H was found with.
     """
     check_order_cap(g.order, order_cap)
     n, mul, inv, full = g.order, g.mul, g.inv, g.full_mask
@@ -74,34 +69,20 @@ def all_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> tuple
         if len(prime_factors(m.bit_count())) == 1:
             cyclic.setdefault(m, x)
     conj = []  # z -> s^-1·z·s, for each s of a greedy generating set
-    span = 1
+    span = (1, [0], ())  # (mask, elements, generating tuple)
     for s in range(1, n):
-        if not (span >> s) & 1:
-            span = generated_subgroup(g, span | 1 << s)
+        if not (span[0] >> s) & 1:
+            span = extend_subgroup(g, *span, s)
             conj.append(tuple(mul[mul[inv[s]][z]][s] for z in range(n)))
     seen = {1, full}
     frontier = [(1, [0], ())]  # (mask, elements, generating tuple)
     while frontier:
         h, elems, gens = frontier.pop()
-        size = len(elems)
-        limit = max((d for d in range(size, n, size) if n % d == 0), default=0)
         done = h
         for c in cyclic.values():
             if (done >> c) & 1:
                 continue
-            k, k_elems, k_gens, reps = h, list(elems), gens + (c,), [0]
-            for r in reps:
-                for s in k_gens:
-                    t = mul[r][s]
-                    if not (k >> t) & 1:
-                        coset = [mul[z][t] for z in elems]
-                        for z in coset:
-                            k |= 1 << z
-                        k_elems += coset
-                        reps.append(t)
-                if len(k_elems) > limit:
-                    k = full
-                    break
+            k, k_elems, k_gens = extend_subgroup(g, h, elems, gens, c)
             for a in elems:  # done |= HcH, one left coset a·c·H at a time
                 t = mul[a][c]
                 if not (done >> t) & 1:
@@ -233,24 +214,25 @@ def intersection_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP)
     signature suffices.  Walking these moves from the Frattini class, whose
     intent ``sig[0]`` holds every maximal, reaches every class, since each
     carrier is the Frattini subgroup plus its own elements.  Every result
-    other than I is an option of I.  A carrier is the meet of its intent's
-    maximals; classes are numbered by carrier size, then mask, so every
-    option has a larger id than its class.
+    other than I is an option of I.  An option J of I probes only J & r for
+    the options r of I: J & s = J & (I & s) for every signature s, and
+    J & I = J.  A carrier is the meet of its intent's maximals; classes are
+    numbered by carrier size, then mask, so every option has a larger id
+    than its class.
     """
     maxi = maximal_subgroups(g, order_cap=order_cap)
     sig = [0] * g.order
     for i, m in enumerate(maxi):
         for x in iter_mask(m):
             sig[x] |= 1 << i
-    signatures = set(sig)
     moves: dict[int, set[int]] = {}  # intent -> intents of its options
-    frontier = [sig[0]]
+    frontier = [(sig[0], set(sig))]  # (intent, the masks it probes)
     while frontier:
-        intent = frontier.pop()
+        intent, probes = frontier.pop()
         if intent in moves:
             continue
-        moves[intent] = {intent & s for s in signatures if intent & s != intent}
-        frontier += [j for j in moves[intent] if j and j not in moves]
+        opts = moves[intent] = {intent & s for s in probes if intent & s != intent}
+        frontier += [(j, opts) for j in opts if j and j not in moves]
     carrier = {i: _and_over(maxi, i, g.full_mask) for i in moves}
     intents = sorted(moves, key=lambda i: (carrier[i].bit_count(), carrier[i]))
     index = {intent: cid for cid, intent in enumerate(intents)}

@@ -7,7 +7,7 @@ scored by Sprague-Grundy values over the position DAG.
 
 The brute solver walks positions directly, reading only the Cayley table.
 It carries each position's generated subgroup down the search.  Each reached
-subgroup H gets one list of moves, built from one closure per double coset
+subgroup H gets its moves once, from one coset extension per double coset
 HxH, so the inner loop makes no call per move and takes the mex of a bitset.
 
 The structure solver evaluates either game per structure class: inside a
@@ -59,8 +59,9 @@ def brute_search(g: GroupTable, variant: Variant = GEN, *,
 
     A child ``mask | 1 << x`` of a position generating ``h`` generates
     <h, x>, since <P ∪ {x}> = <<P> ∪ {x}>.  Each reached subgroup gets its
-    move list once, from one closure per double coset HxH (``subgroup_joins``),
-    so the search needs far fewer closures than positions or moves.
+    moves once (``subgroup_joins``) in three lists: the elements of h, the
+    non-generating moves outside h, which are never in the position, and
+    the generating moves.
     """
     _check_variant(variant)
     if g.order < 2:
@@ -71,27 +72,32 @@ def brute_search(g: GroupTable, variant: Variant = GEN, *,
     full = g.full_mask
     gen = variant == GEN
     joins = subgroup_joins(g)
-    # subgroup -> ((bit, join) of each non-generating move, generating bits)
-    moves: dict[int, tuple[list[tuple[int, int]], list[int]]] = {}
+    # subgroup -> (bits of h, (bit, join) outside h, generating bits)
+    moves: dict[int, tuple[list[int], list[tuple[int, int]], list[int]]] = {}
     memo: dict[int, int] = {}
 
-    # ``h`` is the subgroup that ``mask`` generates.  The search never
-    # enters a generating position: the root is the empty set, and a child
-    # is entered only when its join is a proper subgroup.
+    # ``h`` is the subgroup that ``mask`` generates, so ``mask`` lies in h.
+    # The search never enters a generating position: the root is the empty
+    # set, and a child is entered only when its join is a proper subgroup.
     def nim(mask: int, h: int) -> int:
         m = moves.get(h)
         if m is None:
             js = joins(h)
-            steps = [(1 << x, h) for x in iter_mask(h)]
-            steps += [(1 << x, j) for j, xs in js.items() if j != full
-                      for x in iter_mask(xs)]
-            wins = [1 << x for x in iter_mask(js.get(full, 0))] if gen else []
-            m = moves[h] = (steps, wins)
-        steps, wins = m
+            m = moves[h] = (
+                [1 << x for x in iter_mask(h)],
+                [(1 << x, j) for j, xs in js.items() if j != full
+                 for x in iter_mask(xs)],
+                [1 << x for x in iter_mask(js.get(full, 0))] if gen else [])
+        inside, outside, wins = m
         seen = 0
-        for bit, j in steps:
-            if mask & bit:
-                continue
+        for bit in inside:
+            if not mask & bit:
+                child = mask | bit
+                v = memo.get(child)
+                if v is None:
+                    v = nim(child, h)
+                seen |= 1 << v
+        for bit, j in outside:
             child = mask | bit
             v = memo.get(child)
             if v is None:

@@ -54,9 +54,9 @@ def _subgroup_deficiencies(g: GroupTable) -> dict[int, int]:
     """Deficiency of every subgroup: fewest extra elements that generate G.
 
     From the trivial subgroup, each subgroup H found is joined with every
-    element outside it, one closure per double coset HxH (``subgroup_joins``);
-    the chain <x_1>, <x_1, x_2>, ... of any generating tuple reaches every
-    subgroup.
+    element outside it: one Dimino coset extension of H's generating tuple
+    per double coset HxH (``subgroup_joins``).  The chain <x_1>, <x_1, x_2>,
+    ... of any generating tuple reaches every subgroup.
     A join is larger than H, so one pass from the largest subgroup down sets
     delta(G) = 0 and delta(H) = 1 + the least delta of its joins.
     """

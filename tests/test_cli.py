@@ -190,6 +190,30 @@ def test_diagram_rejects_dng(capsys):
     assert "achievement" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "Z2", "--brute-cap", "-5"],
+    ["solve", "Z4", "--order-cap", "-3"],
+    ["table", "Dih(Zn)", "--n", "2..3", "--order-cap", "-1"],
+    ["diagram", "Dih(Z4)", "--order-cap", "-1"],
+    ["verify", "Z5", "--order-cap", "-1"],
+])
+def test_negative_caps_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: must be at least 0, got {argv[-1]}" in err
+
+
+def test_zero_caps_accepted(capsys):
+    code, out, _ = run(capsys, "solve", "Z4", "--order-cap", "0")
+    assert code == 2
+    assert "capped at order 0, group has order 4" in out
+    code, out, _ = run(capsys, "solve", "Z2", "--brute-cap", "0")
+    assert code == 0
+    assert "mode=structure" in out
+
+
 @pytest.mark.parametrize("argv", [["diagram", "Dih(Z4)"], ["verify", "Z5"]])
 def test_brute_cap_only_where_it_acts(capsys, argv):
     with pytest.raises(SystemExit) as exc:

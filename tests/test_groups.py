@@ -106,13 +106,11 @@ def test_generated_subgroup_is_closed_and_monotone(seed):
     assert ng.generated_subgroup(g, got) == got
 
 
-# A4 and S4 have non-normal subgroups whose double cosets HxH span several
-# left cosets xH.
-@pytest.mark.parametrize("spec", ["Z12", "Dih(Z6)", "Z2xZ2xZ2", "A4", "S4"])
-def test_subgroup_joins_match_closures(spec):
-    g = support.group(spec)
+def check_joins(g, subgroups):
+    """``joins(h)`` for each subgroup h, in the given order, against
+    ``generated_subgroup``."""
     joins = subgroup_joins(g)
-    for h in ng.all_subgroups(g):
+    for h in subgroups:
         got = joins(h)
         assert joins(h) is got  # memoized per subgroup
         covered = 0
@@ -122,6 +120,25 @@ def test_subgroup_joins_match_closures(spec):
             for x in ng.iter_mask(xs):
                 assert ng.generated_subgroup(g, h | (1 << x)) == k
         assert covered == g.full_mask & ~h
+
+
+# A4 and S4 have non-normal subgroups whose double cosets HxH span several
+# left cosets xH.
+@pytest.mark.parametrize("spec", ["Z12", "Dih(Z6)", "Z2xZ2xZ2", "A4", "S4"])
+def test_subgroup_joins_match_closures(spec):
+    g = support.group(spec)
+    check_joins(g, ng.all_subgroups(g))
+
+
+# Taken largest first, most subgroups are asked for before any join reaches
+# them, so they get a greedy generating tuple.
+@pytest.mark.parametrize("spec, seed", [("A4", None), ("S4", None),
+                                        ("Dih(Z3xZ6)", 3)])
+def test_subgroup_joins_of_unreached_subgroups(spec, seed):
+    g = support.group(spec)
+    if seed is not None:
+        g = support.relabelled(g, seed)
+    check_joins(g, reversed(ng.all_subgroups(g)))
 
 
 def test_parse_simple_specs():

@@ -87,15 +87,15 @@ def test_brute_matches_structure_on_permutation_groups(variant):
 
 @pytest.mark.parametrize("variant", [ng.GEN, ng.DNG])
 def test_brute_search_closes_each_join_once(variant, monkeypatch):
-    # One closure per (subgroup H, double coset HxH outside H) at most.
+    # One coset extension per (subgroup H, double coset HxH outside H) at most.
     import nimgen.groups
 
     calls = []
-    closure = nimgen.groups.generated_subgroup
+    extend = nimgen.groups.extend_subgroup
 
-    def counting(g, seed):
-        calls.append(seed)
-        return closure(g, seed)
+    def counting(g, h, elems, gens, x):
+        calls.append((h, x))
+        return extend(g, h, elems, gens, x)
 
     g = support.group("Dih(Z13)")
     mul = g.mul
@@ -108,7 +108,7 @@ def test_brute_search_closes_each_join_once(variant, monkeypatch):
                                 for a in ng.iter_mask(h) for b in ng.iter_mask(h))
             bound += 1
     assert bound == 104
-    monkeypatch.setattr(nimgen.groups, "generated_subgroup", counting)
+    monkeypatch.setattr(nimgen.groups, "extend_subgroup", counting)
     ng.brute_search(g, variant, brute_cap=g.order)
     assert 0 < len(calls) <= bound
 

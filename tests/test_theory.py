@@ -73,6 +73,8 @@ def test_deficiency_oracle_beyond_small_catalog():
                for name, gens in support.PERMUTATION_GROUPS.items()]
     groups += [support.relabelled(support.group("Dih(Z3xZ6)"), seed)
                for seed in (1, 2)]
+    groups += [support.group(s) for s in
+               ("Dih(Z99)", "Dih(Z3xZ3xZ3xZ3)", "Z2xZ2xZ2xZ2xZ2xZ2")]
     for g in groups:
         lat = ng.intersection_subgroups(g)
         report = ng.check_deficiency_oracle(g, lat, ng.deficiency_table(lat))
