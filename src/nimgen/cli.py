@@ -132,8 +132,9 @@ def _spec_order(spec: GroupSpec, in_dih: bool = False) -> tuple[int, bool]:
     """Order of the group a spec describes, without building it, and
     whether that order is exact.
 
-    Where building may fail first, the order is a lower bound: 1 for a
-    table file, twice the inner bound for a ``Dih`` inside a ``Dih``, which
+    Where building may fail first, the order is a lower bound: the order
+    on a table file's first line (1 if that line is not a positive
+    integer), twice the inner bound for a ``Dih`` inside a ``Dih``, which
     need not be abelian, and the product of the bounds for a product.
     """
     if isinstance(spec, Cyclic):
@@ -145,7 +146,11 @@ def _spec_order(spec: GroupSpec, in_dih: bool = False) -> tuple[int, bool]:
     if isinstance(spec, Dih):
         inner, exact = _spec_order(spec.inner, True)
         return 2 * inner, exact and not in_dih
-    return 1, False
+    try:  # the header alone: an over-cap table file is refused unparsed
+        with open(spec.path, encoding="utf-8") as fh:
+            return max(int(next((ln for ln in map(str.strip, fh) if ln), "")), 1), False
+    except (OSError, ValueError):
+        return 1, False
 
 
 def _build_capped(spec: GroupSpec, order_cap: int) -> GroupTable:
@@ -439,6 +444,7 @@ def _add_game(p: argparse.ArgumentParser) -> None:
                    help="achievement (gen) or avoidance (dng) game")
 
 
+@functools.cache  # parse_args fills a fresh Namespace on every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nimgen",

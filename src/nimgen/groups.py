@@ -9,6 +9,7 @@ are single integer operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Union
@@ -54,8 +55,9 @@ def build_cyclic(n: int) -> GroupTable:
     """Cyclic group of order ``n`` with elements e, g, g^2, ..."""
     if n < 1:
         raise ValueError(f"cyclic group order must be at least 1, got {n}")
-    mul = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    inv = tuple((-i) % n for i in range(n))
+    r = tuple(range(n))
+    mul = tuple(r[i:] + r[:i] for i in r)
+    inv = tuple((-i) % n for i in r)
     names = tuple("e" if k == 0 else "g" if k == 1 else f"g^{k}" for k in range(n))
     return GroupTable(order=n, mul=mul, inv=inv, names=names, label=f"Z{n}")
 
@@ -63,29 +65,19 @@ def build_cyclic(n: int) -> GroupTable:
 def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     """Direct product; element (a, b) is encoded as a * |h| + b."""
     n, m = g.order, h.order
-    order = n * m
-
-    def enc(a: int, b: int) -> int:
-        return a * m + b
-
-    mul = []
-    for a in range(n):
-        for b in range(m):
-            row = []
-            for c in range(n):
-                for d in range(m):
-                    row.append(enc(g.mul[a][c], h.mul[b][d]))
-            mul.append(tuple(row))
-    inv = tuple(enc(g.inv[a], h.inv[b]) for a in range(n) for b in range(m))
+    # Row (a, b) is h's row b shifted by (a*c)*|h|, for each c in g's row a.
+    shifted = [[tuple(map((p * m).__add__, row)) for row in h.mul] for p in range(n)]
+    mul = tuple(tuple(chain.from_iterable(shifted[p][b] for p in g.mul[a]))
+                for a in range(n) for b in range(m))
+    inv = tuple(g.inv[a] * m + h.inv[b] for a in range(n) for b in range(m))
     names = tuple(f"({g.names[a]},{h.names[b]})" for a in range(n) for b in range(m))
     label = f"{g.label}x{h.label}" if g.label and h.label else ""
-    return GroupTable(order=order, mul=tuple(mul), inv=inv, names=names, label=label)
+    return GroupTable(order=n * m, mul=mul, inv=inv, names=names, label=label)
 
 
 def is_abelian(g: GroupTable) -> bool:
-    """Full commutativity scan over all element pairs."""
-    mul = g.mul
-    return all(mul[i][j] == mul[j][i] for i in range(g.order) for j in range(i + 1, g.order))
+    """The table equals its transpose."""
+    return list(zip(*g.mul)) == list(g.mul)
 
 
 def dihedralize(a: GroupTable) -> GroupTable:
@@ -98,22 +90,15 @@ def dihedralize(a: GroupTable) -> GroupTable:
     if not is_abelian(a):
         raise NonAbelianError(
             f"dihedralize needs an abelian group, {a.label or 'input'} is not abelian")
-    n = a.order
-    mul = []
-    for k1 in range(2):
-        for m1 in range(n):
-            row = []
-            for k2 in range(2):
-                for m2 in range(n):
-                    if k2 == 0:
-                        row.append(k1 * n + a.mul[m1][m2])
-                    else:
-                        row.append((1 - k1) * n + a.mul[a.inv[m1]][m2])
-            mul.append(tuple(row))
-    inv = tuple(a.inv[m] for m in range(n)) + tuple(n + m for m in range(n))
+    n, mul_a, inv_a = a.order, a.mul, a.inv
+    # a_m * x*a_k = x*(a_m^-1 a_k) and x*a_m * x*a_k = a_m^-1 a_k.
+    shift = [tuple(map(n.__add__, row)) for row in mul_a]
+    mul = (tuple(mul_a[m] + shift[inv_a[m]] for m in range(n))
+           + tuple(shift[m] + mul_a[inv_a[m]] for m in range(n)))
+    inv = inv_a + tuple(range(n, 2 * n))
     names = a.names + tuple("x" if m == 0 else f"x·{a.names[m]}" for m in range(n))
     label = f"Dih({a.label})" if a.label else ""
-    return GroupTable(order=2 * n, mul=tuple(mul), inv=inv, names=names, label=label)
+    return GroupTable(order=2 * n, mul=mul, inv=inv, names=names, label=label)
 
 
 def element_order(g: GroupTable, i: int) -> int:
@@ -439,18 +424,18 @@ def parse_table_text(text: str, label: str = "") -> GroupTable:
     if len(lines) < 1 + n:
         raise TableFormatError(f"expected {n} table rows, found {len(lines) - 1}")
 
-    mul: list[list[int]] = []
+    mul: list[tuple[int, ...]] = []
     for i in range(n):
         tokens = lines[1 + i].split()
         if len(tokens) != n:
             raise TableFormatError(f"row {i} has {len(tokens)} entries, expected {n}")
         try:
-            row = [int(t) for t in tokens]
+            row = tuple(map(int, tokens))
         except ValueError:
             raise TableFormatError(f"row {i} contains a non-integer entry") from None
-        for j, v in enumerate(row):
-            if not 0 <= v < n:
-                raise TableFormatError(f"entry ({i}, {j}) is {v}, outside 0..{n - 1}")
+        if min(row) < 0 or max(row) >= n:
+            j = next(j for j, v in enumerate(row) if not 0 <= v < n)
+            raise TableFormatError(f"entry ({i}, {j}) is {row[j]}, outside 0..{n - 1}")
         mul.append(row)
 
     name_overrides: dict[int, str] = {}
@@ -466,19 +451,18 @@ def parse_table_text(text: str, label: str = "") -> GroupTable:
             raise TableFormatError(f"name index {idx} outside 0..{n - 1}")
         name_overrides[idx] = parts[2]
 
-    everything = list(range(n))
-    for i in range(n):
-        if sorted(mul[i]) != everything:
+    # Every entry is in range, so a line is a permutation iff it has no repeat.
+    for i, row in enumerate(mul):
+        if len(set(row)) != n:
             raise TableFormatError(f"row {i} is not a permutation of 0..{n - 1}")
-    for j in range(n):
-        if sorted(mul[i][j] for i in range(n)) != everything:
+    cols = list(zip(*mul))
+    for j, col in enumerate(cols):
+        if len(set(col)) != n:
             raise TableFormatError(f"column {j} is not a permutation of 0..{n - 1}")
 
-    identity = None
-    for e in range(n):
-        if all(mul[e][j] == j for j in range(n)) and all(mul[j][e] == j for j in range(n)):
-            identity = e
-            break
+    everything = tuple(range(n))
+    identity = next((e for e in everything
+                     if mul[e] == everything and cols[e] == everything), None)
     if identity is None:
         raise TableFormatError("table has no two-sided identity element")
 
@@ -487,53 +471,42 @@ def parse_table_text(text: str, label: str = "") -> GroupTable:
     # under the product is exact.  Each element the closure of the earlier
     # ones misses is checked and joins the closure.  The closure is built
     # from the table directly: a non-associative table need not obey
-    # Lagrange's theorem, which generated_subgroup relies on.
-    closure, members = 0, []
-    for s in range(n):
+    # Lagrange's theorem, which generated_subgroup relies on.  Its elements
+    # all associate, so u*(v*s) = (u*v)*s for u, v in it and a checked s:
+    # the closure is the checked elements closed under right products by them.
+    closure, members, checked = 0, [], []
+    for s in everything:
         if (closure >> s) & 1:
             continue
         row_s = mul[s]
-        for i in range(n):
-            row_is = mul[mul[i][s]]
-            row_i = mul[i]
-            for k in range(n):
-                if row_is[k] != row_i[row_s[k]]:
-                    raise TableFormatError(
-                        f"associativity fails for triple ({i}, {s}, {k}): "
-                        f"({i}*{s})*{k} = {row_is[k]} but {i}*({s}*{k}) = {row_i[row_s[k]]}")
-        pending = [s]
+        for i, row_i in enumerate(mul):
+            row_is = mul[row_i[s]]
+            if row_is != tuple(map(row_i.__getitem__, row_s)):
+                k = next(k for k in everything if row_is[k] != row_i[row_s[k]])
+                raise TableFormatError(
+                    f"associativity fails for triple ({i}, {s}, {k}): "
+                    f"({i}*{s})*{k} = {row_is[k]} but {i}*({s}*{k}) = {row_i[row_s[k]]}")
+        checked.append(s)
         closure |= 1 << s
+        members.append(s)
+        pending = list(members)
         while pending:
-            a = pending.pop()
-            members.append(a)
-            for b in members:
-                for c in (mul[a][b], mul[b][a]):
-                    if not (closure >> c) & 1:
-                        closure |= 1 << c
-                        pending.append(c)
+            for c in map(mul[pending.pop()].__getitem__, checked):
+                if not (closure >> c) & 1:
+                    closure |= 1 << c
+                    members.append(c)
+                    pending.append(c)
 
-    # Re-index so the identity is element 0 (swap 0 and the identity).
-    new_of_old = list(range(n))
-    new_of_old[identity], new_of_old[0] = 0, identity
-    new_mul = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            new_mul[new_of_old[i]][new_of_old[j]] = new_of_old[mul[i][j]]
-    names = [""] * n
-    for old in range(n):
-        names[new_of_old[old]] = name_overrides.get(old, f"g{old}")
+    # Re-index so the identity is element 0: swapping 0 and the identity is
+    # its own inverse, so new row k is old row swap[k], relabelled.
+    swap = list(everything)
+    swap[identity], swap[0] = 0, identity
+    new_mul = tuple(tuple(map(swap.__getitem__, map(mul[old].__getitem__, swap)))
+                    for old in swap)
+    names = tuple(name_overrides.get(old, f"g{old}") for old in swap)
 
-    inv = [0] * n
-    for i in range(n):
-        j = new_mul[i].index(0)
+    inv = tuple(row.index(0) for row in new_mul)
+    for i, j in enumerate(inv):
         if new_mul[j][i] != 0:
             raise TableFormatError(f"element {i} has no two-sided inverse")
-        inv[i] = j
-
-    return GroupTable(
-        order=n,
-        mul=tuple(tuple(r) for r in new_mul),
-        inv=tuple(inv),
-        names=tuple(names),
-        label=label,
-    )
+    return GroupTable(order=n, mul=new_mul, inv=inv, names=names, label=label)

@@ -12,7 +12,9 @@ against every subgroup's deficiency, found from the Cayley table alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import and_
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import CapacityError, OutOfScopeError
@@ -38,7 +40,7 @@ from .lattice import (
     check_order_cap,
     class_parity,
     deficiency_table,  # re-exported: part of this module's API
-    intersection_subgroups,
+    maximal_subgroups,
 )
 from .solver import GEN, Variant, solve
 
@@ -291,10 +293,11 @@ def verify_family(specs: Sequence[AbelianSpec], variant: Variant = GEN, *,
             a_table = a.to_group()
             result = solve(dihedralize(a_table), variant, "structure",
                            order_cap=order_cap)
-            a_lat = intersection_subgroups(a_table, order_cap=order_cap)
             # The abelian part keeps its element indices inside the
-            # dihedralization, so Frattini carriers compare directly.
-            frattini_match = a_lat.frattini_mask == result.lattice.frattini_mask
+            # dihedralization, so Frattini carriers compare directly; A's
+            # is the meet of its maximals.
+            a_frattini = reduce(and_, maximal_subgroups(a_table, order_cap=order_cap))
+            frattini_match = a_frattini == result.lattice.frattini_mask
         except CapacityError as exc:
             records.append(FamilyRecord(
                 spec=spec_str, variant=variant, predicted=predicted, computed=None,

@@ -10,6 +10,7 @@ from collections import deque
 from functools import lru_cache
 
 import nimgen as ng
+from nimgen.groups import Cyclic, Dih, Product
 
 
 @lru_cache(maxsize=None)
@@ -98,6 +99,71 @@ def reference_deficiency_map(g: ng.GroupTable) -> list[int]:
             delta[mask] = 1 + min(
                 delta[mask | (1 << x)] for x in range(n) if not (mask >> x) & 1)
     return delta
+
+
+def reference_cyclic(n: int) -> ng.GroupTable:
+    """Cyclic group of order ``n``, one entry at a time: the reference for
+    the row-rotation kernel of ``build_cyclic``."""
+    mul = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    inv = tuple((-i) % n for i in range(n))
+    names = tuple("e" if k == 0 else "g" if k == 1 else f"g^{k}" for k in range(n))
+    return ng.GroupTable(order=n, mul=mul, inv=inv, names=names, label=f"Z{n}")
+
+
+def reference_direct_product(g: ng.GroupTable, h: ng.GroupTable) -> ng.GroupTable:
+    """Direct product, one entry at a time, (a, b) encoded as a * |h| + b:
+    the reference for the shifted-row kernel of ``direct_product``."""
+    n, m = g.order, h.order
+    mul = tuple(tuple(g.mul[a][c] * m + h.mul[b][d] for c in range(n) for d in range(m))
+                for a in range(n) for b in range(m))
+    inv = tuple(g.inv[a] * m + h.inv[b] for a in range(n) for b in range(m))
+    names = tuple(f"({g.names[a]},{h.names[b]})" for a in range(n) for b in range(m))
+    label = f"{g.label}x{h.label}" if g.label and h.label else ""
+    return ng.GroupTable(order=n * m, mul=mul, inv=inv, names=names, label=label)
+
+
+def reference_is_abelian(g: ng.GroupTable) -> bool:
+    """Commutativity scan over all element pairs: the reference for the
+    transpose test of ``is_abelian``."""
+    mul = g.mul
+    return all(mul[i][j] == mul[j][i] for i in range(g.order) for j in range(i + 1, g.order))
+
+
+def reference_dihedralize(a: ng.GroupTable) -> ng.GroupTable:
+    """Generalized dihedral group of an abelian group, one entry at a time,
+    x*a_m at index |A| + m: the reference for the row kernel of
+    ``dihedralize``."""
+    assert reference_is_abelian(a)
+    n = a.order
+    mul = []
+    for k1 in range(2):
+        for m1 in range(n):
+            row = []
+            for k2 in range(2):
+                for m2 in range(n):
+                    if k2 == 0:
+                        row.append(k1 * n + a.mul[m1][m2])
+                    else:
+                        row.append((1 - k1) * n + a.mul[a.inv[m1]][m2])
+            mul.append(tuple(row))
+    inv = a.inv + tuple(n + m for m in range(n))
+    names = a.names + tuple("x" if m == 0 else f"x·{a.names[m]}" for m in range(n))
+    label = f"Dih({a.label})" if a.label else ""
+    return ng.GroupTable(order=2 * n, mul=tuple(mul), inv=inv, names=names, label=label)
+
+
+def reference_group(spec) -> ng.GroupTable:
+    """The group of a spec without table files, built by the reference
+    builders above."""
+    if isinstance(spec, str):
+        spec = ng.parse_group_spec(spec)
+    if isinstance(spec, Cyclic):
+        return reference_cyclic(spec.n)
+    if isinstance(spec, Product):
+        return reference_direct_product(reference_group(spec.left),
+                                        reference_group(spec.right))
+    assert isinstance(spec, Dih), spec
+    return reference_dihedralize(reference_group(spec.inner))
 
 
 def reference_subgroups(g: ng.GroupTable) -> tuple[int, ...]:

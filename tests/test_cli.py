@@ -285,15 +285,27 @@ def test_verify_capacity_exit(capsys):
     ("table", "Zn", "--n", "100000..100000"),
     ("diagram", "Z100000"),
     ("verify", "Z100000"),
-    # a table file counts at least 1, a Dih inside a Dih twice its inner bound
+    # a table file counts the order on its first line, or 1 if it cannot
+    # be read; a Dih inside a Dih twice its inner bound
     ("solve", "Z100000xtable:k4.tbl"),
     ("solve", "Z100000xDih(Dih(Z3))"),
+    ("solve", "table:z300.tbl"),
 ])
-def test_over_cap_builds_no_table(argv, capsys, monkeypatch):
+def test_over_cap_builds_no_table(argv, capsys, monkeypatch, tmp_path):
     # Builders that refuse large results: a spec over the order cap must be
-    # rejected from the spec alone, before any Cayley table is built.
+    # rejected from the spec alone, before any Cayley table is built or a
+    # table file's rows are parsed.
     import nimgen.groups
     import nimgen.theory
+
+    (tmp_path / "z300.tbl").write_text(
+        nimgen.groups.to_table_text(nimgen.groups.build_cyclic(300)), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+
+    def refusing_parse(text, label=""):
+        raise AssertionError("parse_table_text asked to parse a table")
+
+    monkeypatch.setattr(nimgen.groups, "parse_table_text", refusing_parse)
 
     def refusing(build, order_of):
         def wrapper(*groups):
@@ -311,6 +323,21 @@ def test_over_cap_builds_no_table(argv, capsys, monkeypatch):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert "capped at order 200" in out + err
+
+
+def test_table_file_within_cap_reports_its_own_error(tmp_path, capsys):
+    # Only the header is read before the cap check; a file within the cap,
+    # or one whose header is not an order, still gets the loader's error.
+    bad_rows = tmp_path / "rows.tbl"
+    bad_rows.write_text("3\n0 1 2\n1 1 0\n2 0 1\n", encoding="utf-8")
+    bad_header = tmp_path / "header.tbl"
+    bad_header.write_text("order 300\n", encoding="utf-8")
+    code, out, _ = run(capsys, "solve", f"table:{bad_rows}")
+    assert code == 2
+    assert "row 1 is not a permutation of 0..2" in out
+    code, out, _ = run(capsys, "solve", f"table:{bad_header}")
+    assert code == 2
+    assert "first line must be the group order, got 'order 300'" in out
 
 
 def test_nested_dih_within_cap_is_built_and_refused(capsys):
@@ -452,3 +479,28 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_safe_to_reuse(capsys):
+    from nimgen.cli import build_parser
+
+    assert build_parser() is build_parser()
+    argv = ("solve", "Dih(Z5)", "Z2xZ2", "--format", "json")
+    first = run(capsys, *argv)
+    # a parse error, another command's options, and --version in between
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "Z4", "--order-cap", "-3"])
+    assert exc.value.code == 2
+    assert "must be at least 0, got -3" in capsys.readouterr().err
+    second = run(capsys, *argv)
+    assert run(capsys, "solve", "Z4", "--game", "dng", "--mode", "brute",
+               "--format", "csv")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"nimgen {__version__}\n"
+    third = run(capsys, *argv)
+    # byte-identical but for the wall-time field
+    assert first[0] == second[0] == third[0] == 0
+    assert normalize_json(first[1]) == normalize_json(second[1]) == normalize_json(third[1])
+    assert first[2] == second[2] == third[2] == ""

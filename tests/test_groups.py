@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -59,6 +61,21 @@ def test_dihedralize_of_elementary_two_group_is_abelian():
 def test_dihedralize_requires_abelian():
     with pytest.raises(ng.NonAbelianError):
         ng.dihedralize(support.group("Dih(Z3)"))
+
+
+# Beyond the catalog: an elementary abelian group, the largest Dih(A)
+# under the default order cap, and non-abelian direct products.
+BUILDER_SPECS = ng.EXTENDED_CATALOG + (
+    "Z2xZ2xZ2xZ2xZ2xZ2xZ2", "Dih(Z99)", "Dih(Z2xZ2xZ2xZ2xZ6)",
+    "Z3xDih(Z4)", "Dih(Z3)xDih(Z3)",
+)
+
+
+@pytest.mark.parametrize("spec", BUILDER_SPECS)
+def test_builders_match_reference_loops(spec):
+    g, want = ng.build_group(spec), support.reference_group(spec)
+    assert (g.mul, g.inv, g.names, g.label) == (want.mul, want.inv, want.names, want.label)
+    assert ng.is_abelian(g) == support.reference_is_abelian(g)
 
 
 def test_inverses():
@@ -267,6 +284,74 @@ def test_table_round_trip_keeps_every_catalog_group():
         g = support.group(spec)
         h = ng.parse_table_text(ng.to_table_text(g), label=g.label)
         assert h == g, spec
+
+
+def relabelled_text(g, perm, named):
+    """Table file text of ``g`` with element i written as file index perm[i]."""
+    n = g.order
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(g.mul):
+        for j, k in enumerate(row):
+            rows[perm[i]][perm[j]] = perm[k]
+    lines = [str(n)] + [" ".join(map(str, r)) for r in rows]
+    if named:
+        lines += [f"name {perm[i]} {g.names[i]}" for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("spec", ["A4", "Dih(Z3xZ6)"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("named", [False, True])
+def test_parse_relabelled_table(spec, seed, named):
+    g = support.group(spec)
+    n = g.order
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    assert perm[0] != 0  # the identity sits away from index 0 in the file
+    h = ng.parse_table_text(relabelled_text(g, perm, named), label="t")
+    # The parser swaps file indices 0 and perm[0]; element k of h is file
+    # element swap[k], which is element src[k] of g.
+    swap = list(range(n))
+    swap[0], swap[perm[0]] = perm[0], 0
+    old_of = {p: i for i, p in enumerate(perm)}
+    src = [old_of[f] for f in swap]
+    new_of = {i: k for k, i in enumerate(src)}
+    assert h.mul == tuple(tuple(new_of[g.mul[i][j]] for j in src) for i in src)
+    assert h.inv == tuple(new_of[g.inv[i]] for i in src)
+    assert h.names == (tuple(g.names[i] for i in src) if named
+                       else tuple(f"g{f}" for f in swap))
+    assert h.label == "t"
+
+
+# Each crafted table trips one check; where it breaks several, the first in
+# the parser's order names it.
+@pytest.mark.parametrize("text,message", [
+    ("\n  \n", "empty table file"),
+    ("x\n", "first line must be the group order, got 'x'"),
+    ("0\n", "group order must be at least 1, got 0"),
+    ("2\n0 1\n", "expected 2 table rows, found 1"),
+    ("2\n0 1\n1\n", "row 1 has 1 entries, expected 2"),
+    ("2\n0 1\n1 a\n", "row 1 contains a non-integer entry"),
+    ("3\n0 1 2\n1 7 -1\n2 0 1\n", "entry (1, 1) is 7, outside 0..2"),
+    ("3\n0 1 2\n1 2 0\n-2 0 1\n", "entry (2, 0) is -2, outside 0..2"),
+    ("3\n0 1 9\n1 2\n2 0 1\n", "entry (0, 2) is 9, outside 0..2"),
+    ("2\n0 1\n1 0\nfoo bar\n", "unrecognized trailing line: 'foo bar'"),
+    ("2\n0 0\n1 1\nfoo\n", "unrecognized trailing line: 'foo'"),
+    ("2\n0 1\n1 0\nname x a\n", "bad name index in line: 'name x a'"),
+    ("2\n0 1\n1 0\nname 2 a\n", "name index 2 outside 0..1"),
+    ("3\n0 1 2\n1 1 0\n2 0 1\n", "row 1 is not a permutation of 0..2"),
+    ("3\n0 0 2\n0 1 2\n2 0 1\n", "row 0 is not a permutation of 0..2"),
+    ("3\n0 1 2\n1 2 0\n1 2 0\n", "column 0 is not a permutation of 0..2"),
+    ("3\n1 0 2\n0 2 1\n2 1 0\n", "table has no two-sided identity element"),
+    # 2*3 = 0 but 3*2 = 1, yet associativity fails first.  Tables that pass
+    # it never reach the inverse check: i*j = e makes j*i idempotent,
+    # (j*i)(j*i) = j(ij)i = j*i, and with permutation rows only e is.
+    (NONASSOC5, "associativity fails for triple (1, 1, 2): (1*1)*2 = 2 but 1*(1*2) = 4"),
+])
+def test_table_error_messages(text, message):
+    with pytest.raises(ng.TableFormatError) as exc:
+        ng.parse_table_text(text)
+    assert str(exc.value) == message
 
 
 def test_table_rejects_nonassociative_above_order_64():
