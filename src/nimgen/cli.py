@@ -30,7 +30,8 @@ from .diagram import (
 )
 from .errors import CapacityError, NimgenError, OutOfScopeError, TableFormatError
 from .groups import (Cyclic, Dih, GroupSpec, GroupTable, Product, TableFile,
-                     build_group, canonical_spec, parse_group_spec)
+                     build_group, canonical_spec, parse_group_spec,
+                     table_file_order)
 from .lattice import (DEFAULT_ORDER_CAP, check_order_cap, deficiency_table,
                       intersection_subgroups)
 from .solver import DEFAULT_BRUTE_CAP, DNG, GEN, solve, structure_nim
@@ -133,8 +134,8 @@ def _spec_order(spec: GroupSpec, in_dih: bool = False) -> tuple[int, bool]:
     whether that order is exact.
 
     Where building may fail first, the order is a lower bound: the order
-    on a table file's first line (1 if that line is not a positive
-    integer), twice the inner bound for a ``Dih`` inside a ``Dih``, which
+    a table file's header declares (1 if the header is not an order),
+    twice the inner bound for a ``Dih`` inside a ``Dih``, which
     need not be abelian, and the product of the bounds for a product.
     """
     if isinstance(spec, Cyclic):
@@ -147,9 +148,8 @@ def _spec_order(spec: GroupSpec, in_dih: bool = False) -> tuple[int, bool]:
         inner, exact = _spec_order(spec.inner, True)
         return 2 * inner, exact and not in_dih
     try:  # the header alone: an over-cap table file is refused unparsed
-        with open(spec.path, encoding="utf-8") as fh:
-            return max(int(next((ln for ln in map(str.strip, fh) if ln), "")), 1), False
-    except (OSError, ValueError):
+        return table_file_order(spec.path), False
+    except (TableFormatError, UnicodeDecodeError):  # the loader reports it
         return 1, False
 
 
@@ -162,7 +162,7 @@ def _build_capped(spec: GroupSpec, order_cap: int) -> GroupTable:
         check_order_cap(order, order_cap)
     elif order >= 2 and order > order_cap:
         raise CapacityError(f"structure lattice capped at order {order_cap}, "
-                            f"group has order at least {order}")
+                            f"spec declares order at least {order}")
     return build_group(spec)
 
 
@@ -444,7 +444,6 @@ def _add_game(p: argparse.ArgumentParser) -> None:
                    help="achievement (gen) or avoidance (dng) game")
 
 
-@functools.cache  # parse_args fills a fresh Namespace on every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nimgen",

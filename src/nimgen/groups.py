@@ -384,6 +384,30 @@ def build_group(spec: GroupSpec | str) -> GroupTable:
 # Cayley table files
 
 
+def _declared_order(lines: Iterable[str]) -> int:
+    """The group order on the first non-blank line of a table file."""
+    first = next((ln for ln in map(str.strip, lines) if ln), None)
+    if first is None:
+        raise TableFormatError("empty table file")
+    try:
+        n = int(first)
+    except ValueError:
+        raise TableFormatError(f"first line must be the group order, got {first!r}") from None
+    if n < 1:
+        raise TableFormatError(f"group order must be at least 1, got {n}")
+    return n
+
+
+def table_file_order(path: str | Path) -> int:
+    """The order a table file declares, read from its header alone; raises
+    the TableFormatError that ``load_table_file`` gives for that header."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _declared_order(chain.from_iterable(map(str.splitlines, fh)))
+    except OSError as exc:
+        raise TableFormatError(f"cannot read table file {Path(path)}: {exc}") from exc
+
+
 def load_table_file(path: str | Path) -> GroupTable:
     """Load and validate a Cayley table file."""
     p = Path(path)
@@ -411,16 +435,8 @@ def parse_table_text(text: str, label: str = "") -> GroupTable:
     optional ``name <i> <string>`` lines.  The table is checked to be a group
     and re-indexed so the identity sits at index 0.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise TableFormatError("empty table file")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise TableFormatError(f"first line must be the group order, got {lines[0]!r}") from None
-    if n < 1:
-        raise TableFormatError(f"group order must be at least 1, got {n}")
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
+    n = _declared_order(lines)
     if len(lines) < 1 + n:
         raise TableFormatError(f"expected {n} table rows, found {len(lines) - 1}")
 

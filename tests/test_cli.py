@@ -325,19 +325,28 @@ def test_over_cap_builds_no_table(argv, capsys, monkeypatch, tmp_path):
     assert "capped at order 200" in out + err
 
 
-def test_table_file_within_cap_reports_its_own_error(tmp_path, capsys):
-    # Only the header is read before the cap check; a file within the cap,
-    # or one whose header is not an order, still gets the loader's error.
-    bad_rows = tmp_path / "rows.tbl"
-    bad_rows.write_text("3\n0 1 2\n1 1 0\n2 0 1\n", encoding="utf-8")
-    bad_header = tmp_path / "header.tbl"
-    bad_header.write_text("order 300\n", encoding="utf-8")
-    code, out, _ = run(capsys, "solve", f"table:{bad_rows}")
-    assert code == 2
-    assert "row 1 is not a permutation of 0..2" in out
-    code, out, _ = run(capsys, "solve", f"table:{bad_header}")
-    assert code == 2
-    assert "first line must be the group order, got 'order 300'" in out
+def test_table_file_header_is_checked_against_the_cap(tmp_path, capsys):
+    # Only the header is read before the cap check: a file within the cap,
+    # or one whose header is not an order, still gets the loader's error,
+    # and a header over the cap is refused whatever the rows hold.
+    files = {
+        "rows.tbl": "3\n0 1 2\n1 1 0\n2 0 1\n",
+        "header.tbl": "order 300\n",
+        "short.tbl": "300\n0 1 2\n1 2 0\n2 0 1\n",
+        "notperm.tbl": "300\n" + "0 " * 300 + "\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    expected = {
+        "rows.tbl": "row 1 is not a permutation of 0..2",
+        "header.tbl": "first line must be the group order, got 'order 300'",
+        "short.tbl": "capped at order 200, spec declares order at least 300",
+        "notperm.tbl": "capped at order 200, spec declares order at least 300",
+    }
+    for name, message in expected.items():
+        code, out, _ = run(capsys, "solve", f"table:{tmp_path / name}")
+        assert code == 2
+        assert message in out, name
 
 
 def test_nested_dih_within_cap_is_built_and_refused(capsys):
@@ -480,27 +489,3 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
 
-
-def test_parser_is_built_once_and_safe_to_reuse(capsys):
-    from nimgen.cli import build_parser
-
-    assert build_parser() is build_parser()
-    argv = ("solve", "Dih(Z5)", "Z2xZ2", "--format", "json")
-    first = run(capsys, *argv)
-    # a parse error, another command's options, and --version in between
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "Z4", "--order-cap", "-3"])
-    assert exc.value.code == 2
-    assert "must be at least 0, got -3" in capsys.readouterr().err
-    second = run(capsys, *argv)
-    assert run(capsys, "solve", "Z4", "--game", "dng", "--mode", "brute",
-               "--format", "csv")[0] == 0
-    with pytest.raises(SystemExit) as exc:
-        main(["--version"])
-    assert exc.value.code == 0
-    assert capsys.readouterr().out == f"nimgen {__version__}\n"
-    third = run(capsys, *argv)
-    # byte-identical but for the wall-time field
-    assert first[0] == second[0] == third[0] == 0
-    assert normalize_json(first[1]) == normalize_json(second[1]) == normalize_json(third[1])
-    assert first[2] == second[2] == third[2] == ""

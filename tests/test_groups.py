@@ -365,3 +365,32 @@ def test_table_rejects_nonassociative_above_order_64():
         text = f"{n}\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n"
         with pytest.raises(ng.TableFormatError, match="associativity fails"):
             ng.parse_table_text(text)
+
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("", "empty table file"),
+    ("\n \n", "empty table file"),
+    ("order 3\n", "first line must be the group order, got 'order 3'"),
+    ("0\n", "group order must be at least 1, got 0"),
+    ("-2\n", "group order must be at least 1, got -2"),
+    ("\n  2 \n0 1\n1 0\n", 2),
+    ("2\r\n0 1\r\n1 0\r\n", 2),
+    ("\x0c\n2\n0 1\n1 0\n", 2),
+    # line breaks that str.splitlines knows but file reading does not
+    ("2\x0c0 1\n1 0\n", 2),
+    ("300\n0 1\n", 300),
+])
+def test_table_file_order_reads_the_loaders_header(text, expected, tmp_path):
+    # The header alone gives the order the loader reads, or its error.
+    path = tmp_path / "t.tbl"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        got = ng.groups.table_file_order(path)
+    except ng.TableFormatError as exc:
+        got = str(exc)
+    assert got == expected
+    if isinstance(expected, str):
+        with pytest.raises(ng.TableFormatError) as exc:
+            ng.load_table_file(path)
+        assert str(exc.value) == expected
