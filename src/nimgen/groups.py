@@ -137,30 +137,7 @@ def is_nilpotent(g: GroupTable) -> bool:
 
 def generated_subgroup(g: GroupTable, seed: int) -> int:
     """Mask of the subgroup generated by ``seed`` (the identity is always in)."""
-    n = g.order
-    mul = g.mul
-    full = g.full_mask
-    mask = (seed | 1) & full
-    elems = list(iter_mask(mask))
-    # A proper subgroup has at most half the elements, so once the closure
-    # passes n/2 it can only be the whole group.
-    if 2 * len(elems) > n:
-        return full
-    pending = list(elems)
-    while pending:
-        x = pending.pop()
-        row = mul[x]
-        for idx in range(len(elems)):
-            y = elems[idx]
-            for z in (row[y], mul[y][x]):
-                b = 1 << z
-                if not mask & b:
-                    mask |= b
-                    elems.append(z)
-                    pending.append(z)
-        if 2 * len(elems) > n:
-            return full
-    return mask
+    return span(g, seed)[0]
 
 
 def extend_subgroup(g: GroupTable, h: int, elems: list[int], gens: tuple[int, ...],
@@ -194,15 +171,42 @@ def extend_subgroup(g: GroupTable, h: int, elems: list[int], gens: tuple[int, ..
     return k, k_elems, k_gens
 
 
+def span(g: GroupTable, seed: int) -> tuple[int, list[int], tuple[int, ...]]:
+    """Mask, elements and generating tuple of the subgroup generated by
+    ``seed``: ``extend_subgroup`` by each element of ``seed`` within G that
+    the subgroup built so far misses, in index order, from the trivial one."""
+    k, elems, gens = 1, [0], ()
+    rest = seed & g.full_mask & ~1
+    while rest:
+        x = (rest & -rest).bit_length() - 1
+        k, elems, gens = extend_subgroup(g, k, elems, gens, x)
+        rest &= ~k
+    return k, elems, gens
+
+
+def double_coset(g: GroupTable, elems: list[int], x: int) -> int:
+    """Mask of the double coset HxH of the subgroup H with elements
+    ``elems``, built one left coset a·x·H at a time."""
+    mul = g.mul
+    coset = 0
+    for a in elems:
+        t = mul[a][x]
+        if not (coset >> t) & 1:
+            row = mul[t]
+            for z in elems:
+                coset |= 1 << row[z]
+    return coset
+
+
 def subgroup_joins(g: GroupTable) -> Callable[[int], dict[int, int]]:
     """``joins(h)``: each subgroup <h, x> for x outside subgroup ``h``, mapped
     to the mask of the elements x that give it.
 
     <H, x> = <H, y> for every y in the double coset HxH, so each double coset
     costs one ``extend_subgroup`` of H's elements and generating tuple: those
-    of the first join that found H, else greedy ones.  Memoized per ``h``.
+    of the first join that found H, else those ``span`` builds from h.
+    Memoized per ``h``.
     """
-    mul = g.mul
     memo: dict[int, dict[int, int]] = {}
     found: dict[int, tuple[list[int], tuple[int, ...]]] = {1: ([0], ())}
 
@@ -210,23 +214,11 @@ def subgroup_joins(g: GroupTable) -> Callable[[int], dict[int, int]]:
         out = memo.get(h)
         if out is None:
             out = memo[h] = {}
-            if h in found:
-                elems, gens = found[h]
-            else:
-                k, elems, gens = 1, [0], ()
-                for x in iter_mask(h):
-                    if not (k >> x) & 1:
-                        k, elems, gens = extend_subgroup(g, k, elems, gens, x)
+            elems, gens = found[h] if h in found else span(g, h)[1:]
             rest = g.full_mask & ~h
             while rest:
                 x = (rest & -rest).bit_length() - 1
-                coset = 0  # HxH, one left coset a·x·H at a time
-                for a in elems:
-                    t = mul[a][x]
-                    if not (coset >> t) & 1:
-                        row = mul[t]
-                        for z in elems:
-                            coset |= 1 << row[z]
+                coset = double_coset(g, elems, x)
                 k, k_elems, k_gens = extend_subgroup(g, h, elems, gens, x)
                 found.setdefault(k, (k_elems, k_gens))
                 out[k] = out.get(k, 0) | coset
@@ -487,7 +479,7 @@ def parse_table_text(text: str, label: str = "") -> GroupTable:
     # under the product is exact.  Each element the closure of the earlier
     # ones misses is checked and joins the closure.  The closure is built
     # from the table directly: a non-associative table need not obey
-    # Lagrange's theorem, which generated_subgroup relies on.  Its elements
+    # Lagrange's theorem, which extend_subgroup relies on.  Its elements
     # all associate, so u*(v*s) = (u*v)*s for u, v in it and a checked s:
     # the closure is the checked elements closed under right products by them.
     closure, members, checked = 0, [], []
@@ -521,8 +513,7 @@ def parse_table_text(text: str, label: str = "") -> GroupTable:
                     for old in swap)
     names = tuple(name_overrides.get(old, f"g{old}") for old in swap)
 
+    # Each right inverse is two-sided: i*j = e makes j*i idempotent,
+    # (j*i)(j*i) = j(ij)i = j*i, and with permutation rows only e is.
     inv = tuple(row.index(0) for row in new_mul)
-    for i, j in enumerate(inv):
-        if new_mul[j][i] != 0:
-            raise TableFormatError(f"element {i} has no two-sided inverse")
     return GroupTable(order=n, mul=new_mul, inv=inv, names=names, label=label)

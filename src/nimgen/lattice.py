@@ -15,8 +15,8 @@ from itertools import product
 from typing import Mapping
 
 from .errors import CapacityError
-from .groups import (GroupTable, extend_subgroup, generated_subgroup,
-                     is_nilpotent, iter_mask, mask_of, prime_factors)
+from .groups import (GroupTable, double_coset, extend_subgroup, generated_subgroup,
+                     is_nilpotent, iter_mask, mask_of, prime_factors, span)
 
 TERMINAL = -1  # class id of the terminal class (the whole group)
 
@@ -55,8 +55,9 @@ def all_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> tuple
 
     <H, c'> = <H, c> for every c' in the double coset HcH, so after each
     join HcH is marked done for H and its generators are not joined again.
-    Each join, and the greedy generating set, is closed by Dimino's coset
-    extension (``extend_subgroup``) of the generating tuple H was found with.
+    Each join is closed by Dimino's coset extension (``extend_subgroup``)
+    of the generating tuple H was found with, and the greedy generating set
+    is the one ``span`` closes G with.
     """
     check_order_cap(g.order, order_cap)
     n, mul, inv, full = g.order, g.mul, g.inv, g.full_mask
@@ -68,12 +69,8 @@ def all_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> tuple
             y = mul[y][x]
         if len(prime_factors(m.bit_count())) == 1:
             cyclic.setdefault(m, x)
-    conj = []  # z -> s^-1·z·s, for each s of a greedy generating set
-    span = (1, [0], ())  # (mask, elements, generating tuple)
-    for s in range(1, n):
-        if not (span[0] >> s) & 1:
-            span = extend_subgroup(g, *span, s)
-            conj.append(tuple(mul[mul[inv[s]][z]][s] for z in range(n)))
+    # z -> s^-1·z·s, for each s of a greedy generating set
+    conj = [tuple(mul[mul[inv[s]][z]][s] for z in range(n)) for s in span(g, full)[2]]
     seen = {1, full}
     frontier = [(1, [0], ())]  # (mask, elements, generating tuple)
     while frontier:
@@ -83,11 +80,7 @@ def all_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> tuple
             if (done >> c) & 1:
                 continue
             k, k_elems, k_gens = extend_subgroup(g, h, elems, gens, c)
-            for a in elems:  # done |= HcH, one left coset a·c·H at a time
-                t = mul[a][c]
-                if not (done >> t) & 1:
-                    for z in elems:
-                        done |= 1 << mul[t][z]
+            done |= double_coset(g, elems, c)
             if k in seen:
                 continue
             seen.add(k)

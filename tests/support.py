@@ -52,16 +52,46 @@ def brute_memo(spec: str, variant: str = ng.GEN) -> dict:
     return ng.brute_search(group(spec), variant)
 
 
+def reference_closure(g: ng.GroupTable, seed: int) -> int:
+    """Mask of the subgroup generated by ``seed`` (the identity is always
+    in), closing the set under products pairwise: the reference for the
+    coset closure behind ``generated_subgroup``, ``span`` and joins."""
+    n = g.order
+    mul = g.mul
+    full = g.full_mask
+    mask = (seed | 1) & full
+    elems = list(ng.iter_mask(mask))
+    # A proper subgroup has at most half the elements, so once the closure
+    # passes n/2 it can only be the whole group.
+    if 2 * len(elems) > n:
+        return full
+    pending = list(elems)
+    while pending:
+        x = pending.pop()
+        row = mul[x]
+        for idx in range(len(elems)):
+            y = elems[idx]
+            for z in (row[y], mul[y][x]):
+                b = 1 << z
+                if not mask & b:
+                    mask |= b
+                    elems.append(z)
+                    pending.append(z)
+        if 2 * len(elems) > n:
+            return full
+    return mask
+
+
 def reference_brute_search(g: ng.GroupTable, variant: str = ng.GEN) -> dict[int, int]:
     """Memoized nim values of every position reachable from the empty set,
-    with one ``generated_subgroup`` closure per position: the reference
+    with one ``reference_closure`` per position: the reference
     for the memoized-join search of ``brute_search``."""
     full = g.full_mask
     closures: dict[int, int] = {}
 
     def closure(mask: int) -> int:
         if mask not in closures:
-            closures[mask] = ng.generated_subgroup(g, mask)
+            closures[mask] = reference_closure(g, mask)
         return closures[mask]
 
     memo: dict[int, int] = {}
@@ -89,13 +119,13 @@ def reference_brute_search(g: ng.GroupTable, variant: str = ng.GEN) -> dict[int,
 
 
 def reference_deficiency_map(g: ng.GroupTable) -> list[int]:
-    """Deficiency of every subset with one ``generated_subgroup`` closure
-    per mask: the reference for the per-subgroup deficiencies behind
+    """Deficiency of every subset with one ``reference_closure`` per mask:
+    the reference for the per-subgroup deficiencies behind
     ``check_deficiency_oracle``."""
     n = g.order
     delta = [0] * (1 << n)
     for mask in reversed(range(1 << n)):
-        if ng.generated_subgroup(g, mask) != g.full_mask:
+        if reference_closure(g, mask) != g.full_mask:
             delta[mask] = 1 + min(
                 delta[mask | (1 << x)] for x in range(n) if not (mask >> x) & 1)
     return delta
@@ -170,7 +200,7 @@ def reference_subgroups(g: ng.GroupTable) -> tuple[int, ...]:
     """Every subgroup mask, sorted like ``all_subgroups``, by join closure.
 
     Joins each subgroup found with every element outside it, one
-    ``generated_subgroup`` call each: O(|K|^2) per join, kept as the
+    ``reference_closure`` call each: O(|K|^2) per join, kept as the
     reference that the coset closure of ``all_subgroups`` must match.
     """
     seen = {1}
@@ -179,7 +209,7 @@ def reference_subgroups(g: ng.GroupTable) -> tuple[int, ...]:
         h = frontier.pop()
         for x in range(1, g.order):
             if not (h >> x) & 1:
-                j = ng.generated_subgroup(g, h | (1 << x))
+                j = reference_closure(g, h | (1 << x))
                 if j not in seen:
                     seen.add(j)
                     frontier.append(j)

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nimgen as ng
-from nimgen.groups import Cyclic, Dih, Product, subgroup_joins
+from nimgen.groups import Cyclic, Dih, Product, span, subgroup_joins
 
 import support
 
@@ -79,9 +79,13 @@ def test_builders_match_reference_loops(spec):
 
 
 def test_inverses():
-    for spec in ("Z6", "Dih(Z5)", "Z2xZ4"):
-        g = support.group(spec)
-        assert all(g.mul[i][g.inv[i]] == 0 for i in range(g.order))
+    # Parsed tables included: the parser reads each inverse off its row
+    # alone, so this checks that it is two-sided.
+    specs = ("Z6", "Dih(Z5)", "Z2xZ4", "A4", "S4", "A5")
+    groups = [support.group(spec) for spec in specs]
+    groups += [support.relabelled(support.group("Dih(Z3xZ6)"), seed) for seed in (1, 2)]
+    for g in groups:
+        assert all(g.mul[i][g.inv[i]] == 0 == g.mul[g.inv[i]][i] for i in range(g.order))
 
 
 def test_mask_helpers_round_trip():
@@ -111,21 +115,49 @@ def test_generated_subgroup_dihedral():
     assert not ng.is_generating(g, ng.mask_of([r]))
 
 
-@given(st.integers(min_value=0, max_value=(1 << 10) - 1))
-def test_generated_subgroup_is_closed_and_monotone(seed):
-    g = support.group("Dih(Z5)")
-    got = ng.generated_subgroup(g, seed)
-    assert got & (seed | 1) == (seed | 1)
-    for x in ng.iter_mask(got):
-        for y in ng.iter_mask(got):
-            assert got & (1 << g.mul[x][y])
-    # closing again changes nothing
-    assert ng.generated_subgroup(g, got) == got
+# A4 has non-normal subgroups, where a union of cosets of one of them need
+# not be closed.
+@given(st.integers(min_value=0, max_value=(1 << 12) - 1))
+def test_generated_subgroup_is_closed_and_monotone(bits):
+    for g in (support.group("Dih(Z5)"), support.group("A4")):
+        seed = bits & g.full_mask
+        got = ng.generated_subgroup(g, seed)
+        assert got & (seed | 1) == (seed | 1)
+        for x in ng.iter_mask(got):
+            for y in ng.iter_mask(got):
+                assert got & (1 << g.mul[x][y])
+        # closing again changes nothing
+        assert ng.generated_subgroup(g, got) == got
+
+
+def test_span_matches_reference_closure():
+    groups = [support.group(s) for s in ng.EXTENDED_CATALOG + ("Z1", "A4", "S4", "A5")]
+    groups.append(support.relabelled(support.group("Dih(Z3xZ6)"), 3))
+    rng = random.Random(15)
+    for g in groups:
+        n = g.order
+        # Seed 0, bits at and above the order, then a few random elements
+        # (mostly a proper subgroup) and random subsets.
+        seeds = [0, g.full_mask, (0b101 << n) | 2]
+        seeds += [ng.mask_of(rng.randrange(n) for _ in range(k)) for k in (1, 2, 2, 3)]
+        seeds += [rng.getrandbits(n + 2) for _ in range(4)]
+        for seed in seeds:
+            mask, elems, gens = span(g, seed)
+            assert mask == support.reference_closure(g, seed), (g.label, seed)
+            assert sorted(elems) == list(ng.iter_mask(mask))
+            # Greedy in index order: each generator is the least element of
+            # the seed outside the closure of the earlier ones.
+            closed = 1
+            for s in gens:
+                rest = seed & g.full_mask & ~closed
+                assert s == (rest & -rest).bit_length() - 1
+                closed = support.reference_closure(g, closed | 1 << s)
+            assert closed == mask
 
 
 def check_joins(g, subgroups):
     """``joins(h)`` for each subgroup h, in the given order, against
-    ``generated_subgroup``."""
+    ``support.reference_closure``."""
     joins = subgroup_joins(g)
     for h in subgroups:
         got = joins(h)
@@ -135,7 +167,7 @@ def check_joins(g, subgroups):
             assert xs and not xs & (covered | h)  # the masks partition G \ h
             covered |= xs
             for x in ng.iter_mask(xs):
-                assert ng.generated_subgroup(g, h | (1 << x)) == k
+                assert support.reference_closure(g, h | (1 << x)) == k
         assert covered == g.full_mask & ~h
 
 
@@ -344,7 +376,7 @@ def test_parse_relabelled_table(spec, seed, named):
     ("3\n0 1 2\n1 2 0\n1 2 0\n", "column 0 is not a permutation of 0..2"),
     ("3\n1 0 2\n0 2 1\n2 1 0\n", "table has no two-sided identity element"),
     # 2*3 = 0 but 3*2 = 1, yet associativity fails first.  Tables that pass
-    # it never reach the inverse check: i*j = e makes j*i idempotent,
+    # it have two-sided inverses: i*j = e makes j*i idempotent,
     # (j*i)(j*i) = j(ij)i = j*i, and with permutation rows only e is.
     (NONASSOC5, "associativity fails for triple (1, 1, 2): (1*1)*2 = 2 but 1*(1*2) = 4"),
 ])

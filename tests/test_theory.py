@@ -27,7 +27,7 @@ def test_deficiency_known_d_values():
 def _per_mask(g):
     """Deficiency of every subset, read off the subgroup it generates."""
     delta = _subgroup_deficiencies(g)
-    return [delta[ng.generated_subgroup(g, m)] for m in range(1 << g.order)]
+    return [delta[support.reference_closure(g, m)] for m in range(1 << g.order)]
 
 
 def test_exhaustive_map_z4():
