@@ -1,10 +1,6 @@
 """Command-line interface: solve games, draw diagrams, verify, tabulate.
 
-Solve and table results are cached in a single JSON file keyed by canonical
-spec string, game variant, requested mode, both caps, and tool version, plus
-the SHA-256 of every table file the spec reads.
-The NIMGEN_CACHE environment variable overrides the --cache flag.  All
-output is UTF-8 with LF line endings; wall-time fields are the only
+All output is UTF-8 with LF line endings; wall-time fields are the only
 nondeterministic part.
 """
 
@@ -14,10 +10,8 @@ import argparse
 import csv
 import functools
 import json
-import os
 import sys
 import time
-from pathlib import Path
 from typing import Sequence
 
 from . import __version__
@@ -29,9 +23,8 @@ from .diagram import (
     to_dot,
 )
 from .errors import CapacityError, NimgenError, OutOfScopeError, TableFormatError
-from .groups import (Cyclic, Dih, GroupSpec, GroupTable, Product, TableFile,
-                     build_group, canonical_spec, parse_group_spec,
-                     table_file_order)
+from .groups import (Cyclic, Dih, GroupSpec, GroupTable, Product, build_group,
+                     parse_group_spec, table_file_order)
 from .lattice import (DEFAULT_ORDER_CAP, check_order_cap, deficiency_table,
                       intersection_subgroups)
 from .solver import DEFAULT_BRUTE_CAP, DNG, GEN, solve, structure_nim
@@ -56,77 +49,6 @@ _ODD_SUITE = ("Dih(Z3)", "Dih(Z5)", "Dih(Z7)", "Dih(Z9)", "Dih(Z11)",
               "Dih(Z3xZ3)")
 
 _SUITES = ("theorem", "dng", "even-types", "odd-lemmas", "deficiency", "all")
-
-
-# Value fields of a solve record, with their types; a cache entry is used
-# only if it holds exactly these.
-_CACHED_FIELDS = {"order": int, "nim": int, "mode": str, "intersections": int,
-                  "d_g": int}
-
-
-class _Cache:
-    """Single-file JSON result cache, written once at end of run."""
-
-    def __init__(self, path: str) -> None:
-        self.path = Path(path)
-        self.dirty = False
-        try:
-            loaded = json.loads(self.path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            loaded = {}
-        self.data: dict = loaded if isinstance(loaded, dict) else {}
-
-    def get(self, key: str) -> dict | None:
-        """The entry under ``key``, or None if it is missing or malformed."""
-        hit = self.data.get(key)
-        if (isinstance(hit, dict) and hit.keys() == _CACHED_FIELDS.keys()
-                and all(type(hit[k]) is t for k, t in _CACHED_FIELDS.items())):
-            return hit
-        return None
-
-    def put(self, key: str, value: dict) -> None:
-        if self.data.get(key) != value:
-            self.data[key] = value
-            self.dirty = True
-
-    def save(self) -> bool:
-        """Write the cache if it changed; False, reported on stderr, on failure."""
-        if not self.dirty:
-            return True
-        text = json.dumps(self.data, indent=2, sort_keys=True) + "\n"
-        # A crash mid-write leaves the old file whole, not a truncated one.
-        tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
-        try:
-            if self.path.parent != Path("."):
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(text, encoding="utf-8")
-            os.replace(tmp, self.path)
-        except OSError as exc:
-            print(f"error: cannot write cache {self.path}: {exc}",
-                  file=sys.stderr)
-            return False
-        return True
-
-
-def _open_cache(flag_value: str | None) -> _Cache | None:
-    path = os.environ.get("NIMGEN_CACHE") or flag_value
-    return _Cache(path) if path else None
-
-
-def _table_digests(spec: GroupSpec) -> str:
-    """``|<sha256>`` for each table file the spec reads, left to right."""
-    if isinstance(spec, TableFile):
-        import hashlib  # loads OpenSSL (MBs of memory): only cached table specs
-        path = Path(spec.path)
-        try:
-            return "|" + hashlib.sha256(path.read_bytes()).hexdigest()
-        except OSError as exc:
-            raise TableFormatError(f"cannot read table file {path}: {exc}") from exc
-    if isinstance(spec, Product):
-        return _table_digests(spec.left) + _table_digests(spec.right)
-    if isinstance(spec, Dih):
-        return _table_digests(spec.inner)
-    return ""
 
 
 def _spec_order(spec: GroupSpec, in_dih: bool = False) -> tuple[int, bool]:
@@ -167,29 +89,17 @@ def _build_capped(spec: GroupSpec, order_cap: int) -> GroupTable:
 
 
 def _solve_record(spec_str: str, variant: str, mode: str, *, brute_cap: int,
-                  order_cap: int, cache: _Cache | None) -> dict:
+                  order_cap: int) -> dict:
     started = time.perf_counter()
     record: dict = {"spec": spec_str, "variant": variant,
                     "tool_version": __version__}
     try:
-        parsed = parse_group_spec(spec_str)
-        hit = None
-        if cache is not None:
-            key = (f"{canonical_spec(parsed)}|{variant}|{mode}|{brute_cap}|"
-                   f"{order_cap}|{__version__}{_table_digests(parsed)}")
-            hit = cache.get(key)
-        if hit is not None:
-            record.update(hit)
-        else:
-            g = _build_capped(parsed, order_cap)
-            result = solve(g, variant, mode, brute_cap=brute_cap,
-                           order_cap=order_cap)
-            fields = {"order": g.order, "nim": result.nim, "mode": result.mode,
-                      "intersections": len(result.lattice.intersections),
-                      "d_g": result.d_g}
-            record.update(fields)
-            if cache is not None:
-                cache.put(key, fields)
+        g = _build_capped(parse_group_spec(spec_str), order_cap)
+        result = solve(g, variant, mode, brute_cap=brute_cap,
+                       order_cap=order_cap)
+        record.update(order=g.order, nim=result.nim, mode=result.mode,
+                      intersections=len(result.lattice.intersections),
+                      d_g=result.d_g)
     except (NimgenError, ValueError) as exc:
         record["error"] = str(exc)
     record["millis"] = int((time.perf_counter() - started) * 1000)
@@ -227,20 +137,14 @@ def _write_csv(records: Sequence[dict],
 
 def _solve_records(specs: Sequence[str],
                    args: argparse.Namespace) -> tuple[list[dict], int]:
-    """One record per spec, through the cache of ``solve`` and ``table``.
-
-    The exit code is 2 if any record failed or the cache could not be
-    written, else 0.
-    """
-    cache = _open_cache(args.cache)
+    """One record per spec for ``solve`` and ``table``; the exit code is 2
+    if any record failed, else 0."""
     records = [
         _solve_record(s, _VARIANTS[args.game], args.mode,
-                      brute_cap=args.brute_cap, order_cap=args.order_cap,
-                      cache=cache)
+                      brute_cap=args.brute_cap, order_cap=args.order_cap)
         for s in specs
     ]
-    saved = cache is None or cache.save()
-    return records, 2 if not saved or any("error" in r for r in records) else 0
+    return records, 2 if any("error" in r for r in records) else 0
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -459,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     p.add_argument("--format", dest="fmt", choices=["text", "json", "csv"],
                    default="text")
-    p.add_argument("--cache", metavar="PATH",
-                   help="JSON result cache (NIMGEN_CACHE overrides)")
     _add_brute_cap(p)
     _add_order_cap(p)
     p.set_defaults(func=cmd_solve)
@@ -496,8 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_game(p)
     p.add_argument("--mode", choices=["auto", "brute", "structure"],
                    default="auto")
-    p.add_argument("--cache", metavar="PATH",
-                   help="JSON result cache (NIMGEN_CACHE overrides)")
     _add_brute_cap(p)
     _add_order_cap(p)
     p.set_defaults(func=cmd_table)

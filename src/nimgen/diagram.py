@@ -84,7 +84,7 @@ def build_digraph(g: GroupTable, lat: IntersectionLattice, nims: ClassNimTable,
         deficiency=0,
         vtype=type_of(nims, lat, TERMINAL),
     ))
-    return StructureDigraph(vertices=tuple(vertices), edges=class_edges(lat, g))
+    return StructureDigraph(vertices=tuple(vertices), edges=class_edges(lat))
 
 
 def simplify(d: StructureDigraph | SimplifiedDiagram, *,

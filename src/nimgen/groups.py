@@ -143,7 +143,8 @@ def generated_subgroup(g: GroupTable, seed: int) -> int:
 def extend_subgroup(g: GroupTable, h: int, elems: list[int], gens: tuple[int, ...],
                     x: int) -> tuple[int, list[int], tuple[int, ...]]:
     """Mask, elements and generating tuple of K = <H, x>, for a subgroup H
-    (mask ``h``, elements ``elems``, generating tuple ``gens``) and x not in H.
+    (mask ``h``, elements ``elems``, generating tuple ``gens``) and x not in H,
+    or G itself when H = G.
 
     Dimino's algorithm: K is a union of right cosets of H.  For each coset
     representative r, from e, and each generator s of K with r·s not yet in
@@ -153,7 +154,7 @@ def extend_subgroup(g: GroupTable, h: int, elems: list[int], gens: tuple[int, ..
     """
     n, mul = g.order, g.mul
     index, p = n // len(elems), 2
-    while index % p:
+    while p < index and index % p:
         p += 1
     limit = n // p  # the largest proper divisor of n that |H| divides
     k, k_elems, k_gens, reps = h, list(elems), gens + (x,), [0]

@@ -256,7 +256,7 @@ def class_parity(lat: IntersectionLattice, cid: int) -> int:
     return lat.intersections[cid].bit_count() & 1
 
 
-def class_edges(lat: IntersectionLattice, g: GroupTable) -> tuple[tuple[int, int], ...]:
+def class_edges(lat: IntersectionLattice) -> tuple[tuple[int, int], ...]:
     """All (class, option class) edges of the structure digraph."""
     return tuple((cid, opt) for cid, opts in enumerate(lat.options)
                  for opt in opts)

@@ -33,7 +33,7 @@ def nims(spec: str) -> ng.ClassNimTable:
 
 @lru_cache(maxsize=None)
 def edges(spec: str) -> tuple:
-    return tuple(ng.class_edges(lattice(spec), group(spec)))
+    return tuple(ng.class_edges(lattice(spec)))
 
 
 @lru_cache(maxsize=None)

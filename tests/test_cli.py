@@ -90,6 +90,11 @@ def test_solve_structure_dng(capsys):
     lines = out.splitlines()
     assert "DNG  *3  order=50 mode=structure" in lines[0]
     assert "DNG  *0  order=54 mode=structure" in lines[1]
+    # below it, the structure method on request
+    code, out, _ = run(capsys, "solve", "Dih(Z5)", "--mode", "structure",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)[0]["mode"] == "structure"
 
 
 def test_solve_determinism(capsys):
@@ -209,6 +214,10 @@ def test_zero_caps_accepted(capsys):
     code, out, _ = run(capsys, "solve", "Z4", "--order-cap", "0")
     assert code == 2
     assert "capped at order 0, group has order 4" in out
+    code, out, _ = run(capsys, "solve", "Dih(Z5)", "--mode", "structure",
+                       "--order-cap", "8")
+    assert code == 2
+    assert "capped at order 8" in out
     code, out, _ = run(capsys, "solve", "Z2", "--brute-cap", "0")
     assert code == 0
     assert "mode=structure" in out
@@ -347,6 +356,15 @@ def test_table_file_header_is_checked_against_the_cap(tmp_path, capsys):
         code, out, _ = run(capsys, "solve", f"table:{tmp_path / name}")
         assert code == 2
         assert message in out, name
+    # a file within the cap is read afresh on every run
+    table = tmp_path / "k.tbl"
+    specs = (f"table:{table}", f"Dih(table:{table})")
+    for text, orders in (("2\n0 1\n1 0\n", [2, 4]),
+                         ("3\n0 1 2\n1 2 0\n2 0 1\n", [3, 6])):
+        table.write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, "solve", *specs, "--format", "json")
+        assert code == 0
+        assert [r["order"] for r in json.loads(out)] == orders
 
 
 def test_nested_dih_within_cap_is_built_and_refused(capsys):
@@ -355,132 +373,27 @@ def test_nested_dih_within_cap_is_built_and_refused(capsys):
     assert "Dih(Z3) is not abelian" in out
 
 
-def test_cache_round_trip(tmp_path, capsys):
-    cache = tmp_path / "cache.json"
-    first = run(capsys, "solve", "Dih(Z5)", "--cache", str(cache),
-                "--format", "json")
-    assert cache.exists()
-    second = run(capsys, "solve", "Dih(Z5)", "--cache", str(cache),
-                 "--format", "json")
-    fresh = run(capsys, "solve", "Dih(Z5)", "--format", "json")
-    a, b, c = (json.loads(r[1])[0] for r in (first, second, fresh))
-    for key in ("nim", "order", "intersections", "d_g", "mode"):
-        assert a[key] == b[key] == c[key]
-    stored = json.loads(cache.read_text())
-    assert f"Dih(Z5)|GEN|auto|16|200|{__version__}" in stored
-
-
-def test_cache_hits_across_spellings(tmp_path, capsys):
-    cache = tmp_path / "cache.json"
-    run(capsys, "solve", "Z9xZ3", "--cache", str(cache))
-    stored = json.loads(cache.read_text())
-    assert list(stored) == [f"Z3xZ9|GEN|auto|16|200|{__version__}"]
-    # canonically equal spelling reuses the entry rather than adding one
-    run(capsys, "solve", "Z3xZ9", "--cache", str(cache))
-    stored = json.loads(cache.read_text())
-    assert list(stored) == [f"Z3xZ9|GEN|auto|16|200|{__version__}"]
-
-
-def test_cache_malformed_entry_is_a_miss(tmp_path, capsys):
-    cache = tmp_path / "cache.json"
-    fresh = run(capsys, "solve", "Dih(Z5)", "--cache", str(cache),
-                "--format", "json")
-    good = json.loads(cache.read_text())
-    (key, entry), = good.items()
-    for bad in ({"order": 10}, {**entry, "nim": "3"}, {**entry, "d_g": None},
-                [entry]):
-        cache.write_text(json.dumps({key: bad}), encoding="utf-8")
-        code, out, _ = run(capsys, "solve", "Dih(Z5)", "--cache", str(cache),
-                           "--format", "json")
-        assert code == 0, bad
-        assert normalize_json(out) == normalize_json(fresh[1]), bad
-        assert json.loads(cache.read_text()) == good, bad
-
-
-def test_cache_key_holds_mode_and_caps(tmp_path, capsys):
-    cache = tmp_path / "cache.json"
-    run(capsys, "solve", "Dih(Z5)", "--mode", "brute", "--cache", str(cache))
-    code, out, _ = run(capsys, "solve", "Dih(Z5)", "--mode", "structure",
-                       "--cache", str(cache), "--format", "json")
-    assert code == 0
-    assert json.loads(out)[0]["mode"] == "structure"
-    # a smaller cap is enforced, not answered from the entry made under
-    # the default caps
-    code, out, _ = run(capsys, "solve", "Dih(Z5)", "--mode", "structure",
-                       "--order-cap", "8", "--cache", str(cache))
-    assert code == 2
-    assert "capped at order 8" in out
-
-
-def test_cache_key_holds_table_file_content(tmp_path, capsys, monkeypatch):
+# Solve and table always compute: --cache is an unknown argument, and
+# NIMGEN_CACHE is ignored.
+@pytest.mark.parametrize("argv", [
+    ["solve", "Z4", "--cache", "x.json"],
+    ["table", "Zn", "--n", "2..3", "--cache", "x.json"],
+    ["solve", "Z4", "--format", "json"],
+])
+def test_no_result_cache(argv, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
-    cache = tmp_path / "cache.json"
-    table = tmp_path / "k.tbl"
-    specs = ("table:k.tbl", "Dih(table:k.tbl)")
-    for text, orders in (("2\n0 1\n1 0\n", [2, 4]),
-                         ("3\n0 1 2\n1 2 0\n2 0 1\n", [3, 6])):
-        table.write_text(text, encoding="utf-8")
-        code, out, _ = run(capsys, "solve", *specs, "--cache", str(cache),
-                           "--format", "json")
+    monkeypatch.setenv("NIMGEN_CACHE", str(tmp_path / "env.json"))
+    if "--cache" in argv:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cache" in capsys.readouterr().err
+    else:
+        code, out, _ = run(capsys, *argv)
+        monkeypatch.delenv("NIMGEN_CACHE")
         assert code == 0
-        assert [r["order"] for r in json.loads(out)] == orders
-    assert len(json.loads(cache.read_text())) == 4
-
-
-def test_cache_save_replaces_the_file(tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "cache.json"
-    run(capsys, "solve", "Z4", "Dih(Z3)", "--cache", str(cache))
-    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
-    before = json.loads(cache.read_text())
-    assert len(before) == 2
-    # a write that dies halfway leaves the previous file whole
-    real_write = Path.write_text
-
-    def torn_write(self, text, *args, **kwargs):
-        real_write(self, text[:len(text) // 2], *args, **kwargs)
-        raise OSError("disk full")
-
-    monkeypatch.setattr(Path, "write_text", torn_write)
-    code, out, err = run(capsys, "solve", "Z6", "--cache", str(cache))
-    monkeypatch.undo()
-    assert code == 2
-    assert "*" in out and "disk full" in err
-    assert json.loads(cache.read_text()) == before
-
-
-def test_cache_write_failure_keeps_the_records(tmp_path, capsys):
-    blocker = tmp_path / "F"
-    blocker.write_text("", encoding="utf-8")
-    cache = blocker / "cache.json"
-    code, out, err = run(capsys, "solve", "Z4", "--cache", str(cache))
-    assert code == 2
-    assert err.startswith(f"error: cannot write cache {cache}: ")
-    assert "Z4  GEN  *1" in out
-    code, out, err = run(capsys, "table", "Zn", "--n", "2..3", "--cache",
-                         str(cache))
-    assert code == 2
-    assert err.startswith(f"error: cannot write cache {cache}: ")
-    rows = list(csv.reader(io.StringIO(out)))[1:]
-    assert [r[0] for r in rows] == ["Z2", "Z3"] and all(r[3] for r in rows)
-
-
-def test_cache_env_overrides_flag(tmp_path, capsys, monkeypatch):
-    env_cache = tmp_path / "env.json"
-    flag_cache = tmp_path / "flag.json"
-    monkeypatch.setenv("NIMGEN_CACHE", str(env_cache))
-    code, _, _ = run(capsys, "solve", "Z4", "--cache", str(flag_cache))
-    assert code == 0
-    assert env_cache.exists()
-    assert not flag_cache.exists()
-
-
-def test_cache_corrupt_file_is_ignored(tmp_path, capsys):
-    cache = tmp_path / "cache.json"
-    cache.write_text("not json", encoding="utf-8")
-    code, out, _ = run(capsys, "solve", "Z4", "--cache", str(cache))
-    assert code == 0
-    assert "*1" in out
-    assert json.loads(cache.read_text())
+        assert normalize_json(out) == normalize_json(run(capsys, *argv)[1])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_version_flag(capsys):

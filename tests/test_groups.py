@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nimgen as ng
-from nimgen.groups import Cyclic, Dih, Product, span, subgroup_joins
+from nimgen.groups import (Cyclic, Dih, Product, extend_subgroup, span,
+                           subgroup_joins)
 
 import support
 
@@ -153,6 +154,10 @@ def test_span_matches_reference_closure():
                 assert s == (rest & -rest).bit_length() - 1
                 closed = support.reference_closure(g, closed | 1 << s)
             assert closed == mask
+        # Extending H = G by any element gives G back.
+        full, elems, gens = span(g, g.full_mask)
+        got = extend_subgroup(g, full, elems, gens, n - 1)
+        assert got[:2] == (g.full_mask, list(range(n))), g.label
 
 
 def check_joins(g, subgroups):

@@ -211,7 +211,7 @@ def test_intersections_match_mask_closure_reference():
 
 def test_deficiency_matches_bfs_reference():
     for g, lat in _reference_lattices():
-        want = support.reference_deficiency(lat, ng.class_edges(lat, g))
+        want = support.reference_deficiency(lat, ng.class_edges(lat))
         assert ng.deficiency_table(lat) == want, g.label
 
 
