@@ -9,6 +9,7 @@ The brute solver walks positions directly, reading only the Cayley table.
 It carries each position's generated subgroup down the search.  Each reached
 subgroup H gets its moves once, from one coset extension per double coset
 HxH, so the inner loop makes no call per move and takes the mex of a bitset.
+The memo holds the positions entered; a generating move only adds 0 to a mex.
 
 The structure solver evaluates either game per structure class: inside a
 class, positions of the carrier's parity and of the opposite parity each
@@ -55,13 +56,14 @@ def mex(values: Iterable[int]) -> int:
 
 def brute_search(g: GroupTable, variant: Variant = GEN, *,
                  brute_cap: int = DEFAULT_BRUTE_CAP) -> dict[int, int]:
-    """Memoized nim values for every position reachable from the empty set.
+    """Memoized nim values for every non-generating position reachable from ∅.
 
-    A child ``mask | 1 << x`` of a position generating ``h`` generates
-    <h, x>, since <P ∪ {x}> = <<P> ∪ {x}>.  Each reached subgroup gets its
-    moves once (``subgroup_joins``) in three lists: the elements of h, the
-    non-generating moves outside h, which are never in the position, and
-    the generating moves.
+    Generating positions are terminal, of value 0 in GEN by the rules, and
+    are not stored, so both games memoize the same key set.  A child
+    ``mask | 1 << x`` of a position generating ``h`` generates <h, x>, since
+    <P ∪ {x}> = <<P> ∪ {x}>.  Each reached subgroup gets its moves once
+    (``subgroup_joins``): the elements of h, the non-generating moves outside
+    h, never in the position, and whether a GEN-winning move exists.
     """
     _check_variant(variant)
     if g.order < 2:
@@ -72,8 +74,8 @@ def brute_search(g: GroupTable, variant: Variant = GEN, *,
     full = g.full_mask
     gen = variant == GEN
     joins = subgroup_joins(g)
-    # subgroup -> (bits of h, (bit, join) outside h, generating bits)
-    moves: dict[int, tuple[list[int], list[tuple[int, int]], list[int]]] = {}
+    # subgroup -> (bits of h, (bit, join) outside h, has a GEN-winning move)
+    moves: dict[int, tuple[list[int], list[tuple[int, int]], bool]] = {}
     memo: dict[int, int] = {}
 
     # ``h`` is the subgroup that ``mask`` generates, so ``mask`` lies in h.
@@ -87,7 +89,7 @@ def brute_search(g: GroupTable, variant: Variant = GEN, *,
                 [1 << x for x in iter_mask(h)],
                 [(1 << x, j) for j, xs in js.items() if j != full
                  for x in iter_mask(xs)],
-                [1 << x for x in iter_mask(js.get(full, 0))] if gen else [])
+                gen and full in js)
         inside, outside, wins = m
         seen = 0
         for bit in inside:
@@ -103,10 +105,8 @@ def brute_search(g: GroupTable, variant: Variant = GEN, *,
             if v is None:
                 v = nim(child, j)
             seen |= 1 << v
-        # A generating position ends GEN with value 0; in DNG no move may
-        # reach it.  Generating elements lie outside h, so never in mask.
-        for bit in wins:
-            memo[mask | bit] = 0
+        # A generating move ends GEN with value 0; DNG forbids it.
+        if wins:
             seen |= 1
         v = (~seen & (seen + 1)).bit_length() - 1  # mex: lowest clear bit
         memo[mask] = v

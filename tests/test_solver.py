@@ -26,7 +26,7 @@ def test_brute_gen_z2():
     memo = support.brute_memo("Z2", ng.GEN)
     assert memo[0] == 2
     assert memo[0b01] == 1
-    assert memo[0b10] == 0
+    assert 0b10 not in memo  # {g} generates Z2: terminal, not memoized
     assert ng.brute_nim(support.group("Z2"), ng.GEN) == 2
 
 
@@ -57,16 +57,25 @@ def test_brute_caps():
     ("Dih(Z2xZ4)", 9),  # a seeded relabelling read back from a table
 ])
 def test_brute_search_matches_reference(spec, seed, variant):
+    # The reference also stores the generating positions GEN reaches; the
+    # search stores only non-generating ones, the same keys in both games.
     g = support.group(spec)
     if seed is not None:
         g = support.relabelled(g, seed)
-    assert ng.brute_search(g, variant) == support.reference_brute_search(g, variant)
+    memo = ng.brute_search(g, variant)
+    ref = support.reference_brute_search(g, variant)
+    proper = {m: v for m, v in ref.items()
+              if support.reference_closure(g, m) != g.full_mask}
+    assert memo == proper
+    assert all(v == 0 for m, v in ref.items() if m not in proper)
+    if variant == ng.GEN:
+        assert memo.keys() == ng.brute_search(g, ng.DNG).keys()
 
 
 @pytest.mark.parametrize("variant", [ng.GEN, ng.DNG])
 def test_brute_matches_structure_above_brute_cap(variant):
     # Every extended-catalog group of order 2..26, up to Dih(Z2xZ6), whose
-    # GEN search memoizes 326,016 positions.
+    # GEN search memoizes 28,392 positions.
     specs = [s for s in ng.EXTENDED_CATALOG if 2 <= support.group(s).order <= 26]
     assert {"Dih(Z12)", "Dih(Z3xZ3)", "Dih(Z2xZ6)"} <= set(specs)
     for spec in specs:
@@ -109,7 +118,8 @@ def test_brute_search_closes_each_join_once(variant, monkeypatch):
             bound += 1
     assert bound == 104
     monkeypatch.setattr(nimgen.groups, "extend_subgroup", counting)
-    ng.brute_search(g, variant, brute_cap=g.order)
+    # the 8,218 non-generating positions, the same keys in either game
+    assert len(ng.brute_search(g, variant, brute_cap=g.order)) == 8218
     assert 0 < len(calls) <= bound
 
 
@@ -192,10 +202,8 @@ def test_structure_agrees_with_brute_per_class():
     memo = support.brute_memo(spec)
     for mask, nim in memo.items():
         cid = ng.ceil_class(lat, g, mask)
-        if cid == ng.TERMINAL:
-            assert nim == 0
-        else:
-            assert nims.per_class[cid][mask.bit_count() & 1] == nim
+        assert cid != ng.TERMINAL  # the memo holds no generating position
+        assert nims.per_class[cid][mask.bit_count() & 1] == nim
 
 
 def test_nim_of_game_modes():
