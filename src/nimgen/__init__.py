@@ -23,7 +23,6 @@ from .diagram import (
 )
 from .errors import (
     CapacityError,
-    InternalInvariantError,
     NimgenError,
     NonAbelianError,
     OutOfScopeError,
@@ -109,7 +108,6 @@ __all__ = [
     # errors
     "NimgenError", "SpecParseError", "NonAbelianError", "TableFormatError",
     "CapacityError", "OutOfScopeError",
-    "InternalInvariantError",
     # groups
     "GroupTable", "Cyclic", "Product", "Dih", "TableFile", "GroupSpec",
     "build_cyclic", "direct_product", "dihedralize", "build_group",

@@ -22,12 +22,11 @@ from .diagram import (
     simplify,
     to_dot,
 )
-from .errors import CapacityError, NimgenError, OutOfScopeError, TableFormatError
+from .errors import CapacityError, NimgenError, TableFormatError
 from .groups import (Cyclic, Dih, GroupSpec, GroupTable, Product, build_group,
                      parse_group_spec, table_file_order)
-from .lattice import (DEFAULT_ORDER_CAP, check_order_cap, deficiency_table,
-                      intersection_subgroups)
-from .solver import DEFAULT_BRUTE_CAP, DNG, GEN, solve, structure_nim
+from .lattice import DEFAULT_ORDER_CAP, check_order_cap
+from .solver import DEFAULT_BRUTE_CAP, DNG, GEN, solve
 from .theory import (
     ABELIAN_CATALOG,
     DNG_FAMILY,
@@ -75,10 +74,11 @@ def _spec_order(spec: GroupSpec, in_dih: bool = False) -> tuple[int, bool]:
         return 1, False
 
 
-def _build_capped(spec: GroupSpec, order_cap: int) -> GroupTable:
-    """The group of ``spec``; one whose order, or a lower bound of it, the
-    spec gives and which is over ``order_cap`` raises CapacityError before
-    any table is built.  Orders below 2 are left to the solvers' own error."""
+def _build_capped(spec_str: str, order_cap: int) -> GroupTable:
+    """The group of a spec string; one whose order, or a lower bound of it,
+    the spec gives and which is over ``order_cap`` raises CapacityError
+    before any table is built.  Orders below 2 are left to ``solve``."""
+    spec = parse_group_spec(spec_str)
     order, exact = _spec_order(spec)
     if exact and order >= 2:
         check_order_cap(order, order_cap)
@@ -94,7 +94,7 @@ def _solve_record(spec_str: str, variant: str, mode: str, *, brute_cap: int,
     record: dict = {"spec": spec_str, "variant": variant,
                     "tool_version": __version__}
     try:
-        g = _build_capped(parse_group_spec(spec_str), order_cap)
+        g = _build_capped(spec_str, order_cap)
         result = solve(g, variant, mode, brute_cap=brute_cap,
                        order_cap=order_cap)
         record.update(order=g.order, nim=result.nim, mode=result.mode,
@@ -164,8 +164,9 @@ def cmd_diagram(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
-        g, lat, dt = _verify_workspace(args.spec, args.order_cap)
-        digraph = build_digraph(g, lat, structure_nim(g, lat), dt)
+        r = solve(_build_capped(args.spec, args.order_cap), GEN, "structure",
+                  order_cap=args.order_cap)
+        digraph = build_digraph(r.lattice.group, r.lattice, r.classes, r.deficiency)
         drawing = simplify(digraph) if args.simplified else digraph
     except (NimgenError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -179,42 +180,37 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_workspace(spec_str: str, order_cap: int):
-    """Group, lattice and class deficiencies of a spec."""
-    g = _build_capped(parse_group_spec(spec_str), order_cap)
-    if g.order < 2:
-        raise OutOfScopeError("generation games need a group of order at least 2")
-    lat = intersection_subgroups(g, order_cap=order_cap)
-    return g, lat, deficiency_table(lat)
-
-
 def _suite_checks(suite: str, order_cap: int) -> tuple[list[CheckReport], list[str]]:
     checks: list[CheckReport] = []
     notes: list[str] = []
-    # Suites share groups; nim tables are built only for suites that read them.
-    workspace = functools.cache(lambda s: _verify_workspace(s, order_cap))
-    gen_nims = functools.cache(lambda s: structure_nim(*workspace(s)[:2]))
+    # Suites share groups; each is solved once.
+    structure = functools.cache(lambda s: solve(
+        _build_capped(s, order_cap), GEN, "structure", order_cap=order_cap))
     if suite in ("even-types", "all"):
         for s in SMALL_CATALOG:
             try:
-                g, lat, dt = workspace(s)
-                if g.order % 2 == 0:
-                    checks.append(check_even_type_table(g, lat, dt, gen_nims(s)))
+                r = structure(s)
+                if r.lattice.group.order % 2 == 0:
+                    checks.append(check_even_type_table(
+                        r.lattice.group, r.lattice, r.deficiency, r.classes))
             except NimgenError as exc:
                 notes.append(f"{s}: {exc}")
     if suite in ("odd-lemmas", "all"):
         for s in _ODD_SUITE:
             try:
-                g, lat, dt = workspace(s)
-                digraph = build_digraph(g, lat, gen_nims(s), dt)
-                checks.append(check_option_deficiency(digraph, dt, subject=s))
-                checks.append(check_odd_case_lemmas(digraph, dt, subject=s))
+                r = structure(s)
+                digraph = build_digraph(r.lattice.group, r.lattice, r.classes,
+                                        r.deficiency)
+                checks.append(check_option_deficiency(digraph, r.deficiency, subject=s))
+                checks.append(check_odd_case_lemmas(digraph, r.deficiency, subject=s))
             except NimgenError as exc:
                 notes.append(f"{s}: {exc}")
     if suite in ("deficiency", "all"):
         for s in SMALL_CATALOG:
             try:
-                checks.append(check_deficiency_oracle(*workspace(s)))
+                r = structure(s)
+                checks.append(check_deficiency_oracle(
+                    r.lattice.group, r.lattice, r.deficiency))
             except NimgenError as exc:
                 notes.append(f"{s}: {exc}")
     return checks, notes
@@ -228,7 +224,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         if args.specs:
             parts = [AbelianSpec.from_spec(s) for s in args.specs]
-            report = verify_family(parts, _VARIANTS[args.game],
+            report = verify_family(parts, _VARIANTS[args.game or "gen"],
                                    order_cap=order_cap)
             family_records = list(report.records)
         else:
@@ -388,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", dest="fmt", choices=["text", "json"],
                    default="text")
     _add_order_cap(p)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, game=None)  # each suite fixes its games
 
     p = sub.add_parser("table", help="CSV nim-number table over a family")
     p.add_argument("family", metavar="FAMILY",
@@ -409,6 +405,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "verify" and args.specs and args.suite:
         print("error: pass specs or --suite, not both", file=sys.stderr)
+        return 2
+    if args.command == "verify" and args.game and not args.specs:
+        print("error: --game applies to specs, not to a suite", file=sys.stderr)
         return 2
     return args.func(args)
 

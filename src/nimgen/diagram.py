@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InternalInvariantError
 from .groups import GroupTable
 from .lattice import (TERMINAL, DeficiencyTable, IntersectionLattice,
                       class_edges, class_parity)
@@ -97,6 +96,8 @@ def simplify(d: StructureDigraph | SimplifiedDiagram, *,
     qualifies ends at the partition by (type, profile), which is computed
     here in one pass.  The result does not depend on merge order; ``rng`` is
     ignored.  Self-loops created by merging are dropped from the output.
+    The terminal vertex stays alone: its type is (p, 0, 0), and every class
+    has two distinct nim values.
     """
     if isinstance(d, SimplifiedDiagram):
         members = [v.members for v in d.vertices]
@@ -122,9 +123,6 @@ def simplify(d: StructureDigraph | SimplifiedDiagram, *,
                          for t, cids, _ in merged)
     out_edges = sorted({(home[a], home[b]) for a, b in edges
                         if home[a] != home[b]})
-    terminal_homes = [v for v in out_vertices if TERMINAL in v.members]
-    if len(terminal_homes) != 1 or len(terminal_homes[0].members) != 1:
-        raise InternalInvariantError("terminal class merged with another class")
     return SimplifiedDiagram(vertices=out_vertices, edges=tuple(out_edges))
 
 

@@ -9,7 +9,6 @@ __all__ = [
     "TableFormatError",
     "CapacityError",
     "OutOfScopeError",
-    "InternalInvariantError",
 ]
 
 
@@ -39,7 +38,3 @@ class CapacityError(NimgenError):
 
 class OutOfScopeError(NimgenError):
     """The input falls outside the documented scope of a prediction."""
-
-
-class InternalInvariantError(NimgenError):
-    """A computation produced a state that the underlying theory rules out."""

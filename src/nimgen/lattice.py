@@ -243,9 +243,9 @@ def ceil_class(lat: IntersectionLattice, g: GroupTable, mask: int) -> int:
     That subgroup is the meet of the maximal subgroups containing the
     subset, so its intent is the AND of the subset's signatures.  Returns
     ``TERMINAL`` when no maximal subgroup contains it, which happens exactly
-    when the subset generates the whole group.
+    when the subset generates the whole group.  Bits past the order are ignored.
     """
-    intent = _and_over(lat.sig, mask, lat.sig[0])
+    intent = _and_over(lat.sig, mask & lat.group.full_mask, lat.sig[0])
     return lat.intent_index[intent] if intent else TERMINAL
 
 

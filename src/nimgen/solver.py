@@ -22,11 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping
 
-from .errors import CapacityError, InternalInvariantError
+from .errors import CapacityError
 from .groups import GroupSpec, GroupTable, build_group, iter_mask, subgroup_joins
 from .lattice import (
     DEFAULT_ORDER_CAP,
     TERMINAL,
+    DeficiencyTable,
     IntersectionLattice,
     class_parity,
     deficiency_table,
@@ -155,32 +156,34 @@ def structure_nim(g: GroupTable, lat: IntersectionLattice,
         # opposite parity.  Positions sharing the carrier's parity include
         # the carrier itself, which has no move that stays inside the class;
         # opposite-parity positions are proper subsets of the carrier and
-        # always have such a move.
+        # always have such a move.  Proper subsets of the carrier's parity
+        # also reach n_other != n_carrier, which leaves their mex unchanged.
         n_carrier = mex(pools[1 - q])
         n_other = mex(pools[q] | {n_carrier})
-        # Proper subsets of the carrier's parity also see the within-class
-        # move; the shared value must survive adding that option.
-        if mex(pools[1 - q] | {n_other}) != n_carrier:
-            raise InternalInvariantError(
-                f"equal-parity positions of class {cid} would disagree on their nim value")
         per[cid] = (n_carrier, n_other) if q == 0 else (n_other, n_carrier)
     return ClassNimTable(per_class=per, game_nim=per[lat.frattini_index][0])
 
 
 @dataclass(frozen=True)
 class SolveResult:
-    """One solved game: its value, the solver used, and the group's lattice."""
+    """One solved game with its group's lattice and class deficiencies;
+    ``classes`` holds the per-class nim values, ``None`` in brute mode."""
 
     nim: int
     mode: str
     lattice: IntersectionLattice
-    d_g: int
+    deficiency: DeficiencyTable
+    classes: ClassNimTable | None
+
+    @property
+    def d_g(self) -> int:
+        return self.deficiency.d_g
 
 
 def solve(g: GroupTable, variant: Variant = GEN, mode: str = "auto", *,
           brute_cap: int = DEFAULT_BRUTE_CAP,
           order_cap: int = DEFAULT_ORDER_CAP) -> SolveResult:
-    """Nim value of a game on ``g``, with the lattice and d(G) of the group.
+    """Nim value of a game on ``g``, with the tables ``SolveResult`` lists.
 
     ``auto`` uses brute force up to ``brute_cap`` and the structure solver
     above it, in both games.  The lattice is built in every mode, so
@@ -195,11 +198,13 @@ def solve(g: GroupTable, variant: Variant = GEN, mode: str = "auto", *,
         raise ValueError(f"unknown mode {mode!r}")
     lat = intersection_subgroups(g, order_cap=order_cap)
     if mode == "brute":
+        classes = None
         nim = brute_nim(g, variant, brute_cap=brute_cap)
     else:
-        nim = structure_nim(g, lat, variant).game_nim
-    d_g = deficiency_table(lat).d_g
-    return SolveResult(nim=nim, mode=mode, lattice=lat, d_g=d_g)
+        classes = structure_nim(g, lat, variant)
+        nim = classes.game_nim
+    return SolveResult(nim=nim, mode=mode, lattice=lat,
+                       deficiency=deficiency_table(lat), classes=classes)
 
 
 def nim_of_game(spec: GroupSpec | str, variant: Variant = GEN, mode: str = "auto", *,

@@ -39,7 +39,7 @@ from .lattice import (
     ceil_class,
     check_order_cap,
     class_parity,
-    deficiency_table,  # re-exported: part of this module's API
+    deficiency_table,  # not called here: perfbench traces it by this name
     maximal_subgroups,
 )
 from .solver import GEN, Variant, solve

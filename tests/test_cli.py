@@ -5,8 +5,11 @@ from pathlib import Path
 
 import pytest
 
+import nimgen as ng
 from nimgen import __version__
 from nimgen.cli import main
+
+import support
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -189,6 +192,24 @@ def test_diagram_json(capsys):
     assert len(payload["vertices"]) == 3
 
 
+# seed: None for the spec itself, else a relabelled table file of it
+@pytest.mark.parametrize("spec,seed", [("Dih(Z3xZ3)", None), ("Z2xZ2xZ2", None),
+                                       ("Dih(Z12)", None), ("Dih(Z2xZ4)", 3)])
+def test_diagram_json_matches_library_pipeline(spec, seed, capsys, tmp_path):
+    if seed is not None:
+        path = tmp_path / "g.tbl"
+        path.write_text(ng.to_table_text(support.relabelled(support.group(spec), seed)),
+                        encoding="utf-8")
+        spec = f"table:{path}"
+    digraph = support.digraph(spec)
+    for flags, expected in (([], ng.digraph_to_dict(digraph)),
+                            (["--simplified"],
+                             ng.simplified_to_dict(ng.simplify(digraph)))):
+        code, out, _ = run(capsys, "diagram", spec, "--format", "json", *flags)
+        assert code == 0
+        assert json.loads(out) == expected, flags
+
+
 def test_diagram_rejects_dng(capsys):
     code, _, err = run(capsys, "diagram", "--game", "dng", "Dih(Z4)")
     assert code == 2
@@ -259,6 +280,18 @@ def test_verify_rejects_specs_plus_suite(capsys):
     code, _, err = run(capsys, "verify", "Z5", "--suite", "dng")
     assert code == 2
     assert "not both" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "theorem", "--game", "dng"],
+    ["verify", "--suite", "all", "--game", "gen"],
+    ["verify", "--game", "dng"],  # the default suite
+])
+def test_verify_game_only_with_specs(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error: --game applies to specs, not to a suite" in err
 
 
 def test_verify_dng_suite_json(capsys):

@@ -72,11 +72,17 @@ def test_simplify_merge_order_invariant():
 
 
 def test_terminal_never_merges():
-    for spec in ("Dih(Z4)", "Dih(Z2xZ2xZ2)", "Dih(Z3xZ3)"):
-        s = ng.simplify(support.digraph(spec))
-        homes = [v for v in s.vertices if ng.TERMINAL in v.members]
-        assert len(homes) == 1
-        assert homes[0].members == (ng.TERMINAL,)
+    # no class shares the terminal's type and profile, whichever game's
+    # values the digraph carries, and simplifying again keeps it alone
+    for spec in ng.EXTENDED_CATALOG + ("A4", "S4"):
+        g, lat = support.group(spec), support.lattice(spec)
+        for nims in (support.nims(spec), ng.structure_nim(g, lat, ng.DNG)):
+            s = ng.simplify(ng.build_digraph(g, lat, nims,
+                                             support.deficiencies(spec)))
+            for d in (s, ng.simplify(s)):
+                homes = [v.members for v in d.vertices
+                         if ng.TERMINAL in v.members]
+                assert homes == [(ng.TERMINAL,)], spec
 
 
 def test_to_dot_full():

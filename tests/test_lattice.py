@@ -241,6 +241,11 @@ def test_ceil_examples():
     assert ng.ceil_class(lat, g, ng.mask_of([r])) == by_mask[15]
     assert ng.ceil_class(lat, g, ng.mask_of([s])) == by_mask[85]
     assert ng.ceil_class(lat, g, ng.mask_of([r, s])) == ng.TERMINAL
+    # bits at or above the order are ignored, as generated_subgroup does
+    for mask in (0, 1, ng.mask_of([r]), ng.mask_of([s]), ng.mask_of([r, s])):
+        for high in (1 << g.order, 1 << 9):
+            assert ng.ceil_class(lat, g, mask | high) == ng.ceil_class(lat, g, mask)
+    assert ng.ceil_class(lat, g, g.full_mask | 1 << g.order) == ng.TERMINAL
 
 
 def test_ceil_is_tightest_superset():

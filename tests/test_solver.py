@@ -21,6 +21,16 @@ def test_mex_property(values):
     assert set(range(m)) <= values
 
 
+@given(st.sets(st.integers(min_value=0, max_value=12)),
+       st.sets(st.integers(min_value=0, max_value=12)))
+def test_within_class_move_keeps_the_carrier_value(a, b):
+    # structure_nim: n_carrier = mex(A), n_other = mex(B | {n_carrier}).
+    # Positions of the carrier's parity below the carrier also reach
+    # n_other; that move never changes their mex.
+    n_carrier = ng.mex(a)
+    assert ng.mex(a | {ng.mex(b | {n_carrier})}) == n_carrier
+
+
 def test_brute_gen_z2():
     # nim(∅)=mex{nim{e}=1, nim{g}=0}=2, worked by hand
     memo = support.brute_memo("Z2", ng.GEN)
@@ -219,6 +229,22 @@ def test_nim_of_game_modes():
         ng.nim_of_game("Z4", mode="bogus")
     with pytest.raises(ValueError):
         ng.nim_of_game("Z1")
+
+
+@pytest.mark.parametrize("variant", [ng.GEN, ng.DNG])
+def test_solve_carries_the_structure_tables(variant):
+    for spec in ng.EXTENDED_CATALOG:
+        g, lat = support.group(spec), support.lattice(spec)
+        r = ng.solve(g, variant, "structure")
+        assert r.lattice.group is g
+        assert r.deficiency == ng.deficiency_table(lat), spec
+        assert r.classes == ng.structure_nim(g, lat, variant), spec
+        assert r.d_g == r.deficiency.d_g
+        assert r.nim == r.classes.game_nim
+    for spec in ("Z2", "Z7", "Z2xZ2", "Dih(Z4)"):
+        r = ng.solve(support.group(spec), variant, "brute")
+        assert r.classes is None
+        assert r.deficiency == support.deficiencies(spec), spec
 
 
 def test_unknown_variant_is_rejected():
