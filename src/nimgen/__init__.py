@@ -99,6 +99,7 @@ from .theory import (
     predict_gen_dih,
     strata,
     verify_family,
+    verify_suite,
 )
 
 __version__ = "0.1.0"
@@ -125,8 +126,8 @@ __all__ = [
     # theory
     "strata", "AbelianSpec", "abelian_groups", "predict_gen_dih",
     "predict_dng_dih", "FamilyRecord", "FamilyReport", "verify_family",
-    "CheckReport", "check_even_type_table", "check_option_deficiency",
-    "check_odd_case_lemmas", "check_deficiency_oracle",
+    "verify_suite", "CheckReport", "check_even_type_table",
+    "check_option_deficiency", "check_odd_case_lemmas", "check_deficiency_oracle",
     "DIHEDRAL_FAMILY", "THEOREM_FAMILY",
     "DNG_FAMILY", "SMALL_CATALOG", "EXTENDED_CATALOG", "ABELIAN_CATALOG",
     # diagram

@@ -1,17 +1,20 @@
 """Command-line interface: solve games, draw diagrams, verify, tabulate.
 
-All output is UTF-8 with LF line endings; wall-time fields are the only
-nondeterministic part.
+``verify`` takes its report from ``theory.verify_family`` or
+``theory.verify_suite`` and only renders it; the report's counts give the
+exit code.  All output is UTF-8 with LF line endings; wall-time fields are
+the only nondeterministic part.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
+import os
 import sys
 import time
+from dataclasses import asdict
 from typing import Sequence
 
 from . import __version__
@@ -27,27 +30,9 @@ from .groups import (Cyclic, Dih, GroupSpec, GroupTable, Product, build_group,
                      parse_group_spec, table_file_order)
 from .lattice import DEFAULT_ORDER_CAP, check_order_cap
 from .solver import DEFAULT_BRUTE_CAP, DNG, GEN, solve
-from .theory import (
-    ABELIAN_CATALOG,
-    DNG_FAMILY,
-    SMALL_CATALOG,
-    AbelianSpec,
-    CheckReport,
-    check_deficiency_oracle,
-    check_even_type_table,
-    check_odd_case_lemmas,
-    check_option_deficiency,
-    verify_family,
-)
+from .theory import SUITES, AbelianSpec, verify_family, verify_suite
 
 _VARIANTS = {"gen": GEN, "dng": DNG}
-
-# Dihedralized odd abelian parts needing at most two generators: the only
-# groups whose odd classes the odd-case pattern covers.
-_ODD_SUITE = ("Dih(Z3)", "Dih(Z5)", "Dih(Z7)", "Dih(Z9)", "Dih(Z11)",
-              "Dih(Z3xZ3)")
-
-_SUITES = ("theorem", "dng", "even-types", "odd-lemmas", "deficiency", "all")
 
 
 def _spec_order(spec: GroupSpec, in_dih: bool = False) -> tuple[int, bool]:
@@ -180,92 +165,26 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     return 0
 
 
-def _suite_checks(suite: str, order_cap: int) -> tuple[list[CheckReport], list[str]]:
-    checks: list[CheckReport] = []
-    notes: list[str] = []
-    # Suites share groups; each is solved once.
-    structure = functools.cache(lambda s: solve(
-        _build_capped(s, order_cap), GEN, "structure", order_cap=order_cap))
-    if suite in ("even-types", "all"):
-        for s in SMALL_CATALOG:
-            try:
-                r = structure(s)
-                if r.lattice.group.order % 2 == 0:
-                    checks.append(check_even_type_table(
-                        r.lattice.group, r.lattice, r.deficiency, r.classes))
-            except NimgenError as exc:
-                notes.append(f"{s}: {exc}")
-    if suite in ("odd-lemmas", "all"):
-        for s in _ODD_SUITE:
-            try:
-                r = structure(s)
-                digraph = build_digraph(r.lattice.group, r.lattice, r.classes,
-                                        r.deficiency)
-                checks.append(check_option_deficiency(digraph, r.deficiency, subject=s))
-                checks.append(check_odd_case_lemmas(digraph, r.deficiency, subject=s))
-            except NimgenError as exc:
-                notes.append(f"{s}: {exc}")
-    if suite in ("deficiency", "all"):
-        for s in SMALL_CATALOG:
-            try:
-                r = structure(s)
-                checks.append(check_deficiency_oracle(
-                    r.lattice.group, r.lattice, r.deficiency))
-            except NimgenError as exc:
-                notes.append(f"{s}: {exc}")
-    return checks, notes
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    order_cap = args.order_cap
-    family_records = []
-    checks: list[CheckReport] = []
-    notes: list[str] = []
     try:
         if args.specs:
-            parts = [AbelianSpec.from_spec(s) for s in args.specs]
-            report = verify_family(parts, _VARIANTS[args.game or "gen"],
-                                   order_cap=order_cap)
-            family_records = list(report.records)
+            report = verify_family([AbelianSpec.from_spec(s) for s in args.specs],
+                                   _VARIANTS[args.game or "gen"],
+                                   order_cap=args.order_cap)
         else:
-            suite = args.suite or "theorem"
-            if suite in ("theorem", "all"):
-                parts = [AbelianSpec.from_spec(s) for s in ABELIAN_CATALOG]
-                family_records += list(verify_family(
-                    parts, GEN, order_cap=order_cap).records)
-            if suite in ("dng", "all"):
-                parts = [AbelianSpec.from_spec(s) for s in DNG_FAMILY]
-                family_records += list(verify_family(
-                    parts, DNG, order_cap=order_cap).records)
-            suite_checks, suite_notes = _suite_checks(suite, order_cap)
-            checks += suite_checks
-            notes += suite_notes
+            report = verify_suite(args.suite or "theorem", order_cap=args.order_cap)
     except (NimgenError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    failed = sum(1 for r in family_records if r.failed) \
-        + sum(1 for c in checks if not c.ok)
-    skipped = sum(1 for r in family_records if r.skipped) + len(notes)
-    ok = len(family_records) + len(checks) - failed \
-        - sum(1 for r in family_records if r.skipped)
-    code = 1 if failed else (2 if skipped else 0)
-
     if args.fmt == "json":
-        payload = {
-            "records": [r.to_dict() for r in family_records],
-            "checks": [
-                {"name": c.name, "subject": c.subject, "checked": c.checked,
-                 "violations": list(c.violations)}
-                for c in checks
-            ],
-            "notes": notes,
-            "exitCode": code,
-        }
+        payload = {"records": [r.to_dict() for r in report.records],
+                   "checks": [asdict(c) for c in report.checks],
+                   "notes": list(report.notes), "exitCode": report.exit_code}
         print(json.dumps(payload, indent=2, sort_keys=True))
-        return code
+        return report.exit_code
 
-    for r in family_records:
+    for r in report.records:
         if r.skipped:
             print(f"skip {r.spec}  {r.variant}  ({r.note})")
         elif r.failed:
@@ -275,17 +194,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             print(f"ok   {r.spec}  {r.variant}  *{r.computed} "
                   f"(predicted *{r.predicted}, d(Dih)={r.d_dih}, d(A)={r.d_a})")
-    for c in checks:
+    for c in report.checks:
         if c.ok:
             print(f"ok   {c.name}  {c.subject}  checked={c.checked}")
         else:
             print(f"FAIL {c.name}  {c.subject}  {len(c.violations)} violations")
             for v in c.violations:
                 print(f"     - {v}")
-    for n in notes:
+    for n in report.notes:
         print(f"skip {n}")
-    print(f"verify: {ok} ok, {failed} failed, {skipped} skipped")
-    return code
+    print(f"verify: {report.ok} ok, {report.failed} failed, "
+          f"{report.skipped} skipped")
+    return report.exit_code
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -379,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("specs", nargs="*", metavar="ABELIAN_SPEC",
                    help="abelian parts to dihedralize and verify")
     _add_game(p)
-    p.add_argument("--suite", choices=_SUITES,
+    p.add_argument("--suite", choices=SUITES,
                    help="built-in suite to run (default: theorem)")
     p.add_argument("--format", dest="fmt", choices=["text", "json"],
                    default="text")
@@ -409,7 +329,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "verify" and args.game and not args.specs:
         print("error: --game applies to specs, not to a suite", file=sys.stderr)
         return 2
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone, as under ``| head``: the exit flush goes to
+        # devnull, and the run counts as incomplete, not as a mismatch.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -7,26 +7,27 @@ generation games on generalized dihedral groups straight from the shape of
 the abelian part, and the verify/check helpers compare those expectations
 against computed values.  The deficiency oracle checks class distances
 against every subgroup's deficiency, found from the Cayley table alone.
+``verify_suite`` runs the shipped suites, solving each (group, game) once
+per call and noting once each group a check cannot solve under the cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 from operator import and_
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
+from .diagram import StructureDigraph, build_digraph
 from .errors import CapacityError, OutOfScopeError
 from .groups import (
     Cyclic,
     GroupSpec,
     GroupTable,
     Product,
-    build_cyclic,
+    build_group,
     canonical_spec,
-    dihedralize,
-    direct_product,
     parse_group_spec,
     prime_factors,
     subgroup_joins,
@@ -42,10 +43,7 @@ from .lattice import (
     deficiency_table,  # not called here: perfbench traces it by this name
     maximal_subgroups,
 )
-from .solver import GEN, Variant, solve
-
-if TYPE_CHECKING:
-    from .diagram import StructureDigraph
+from .solver import DNG, GEN, SolveResult, Variant, solve
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +127,6 @@ class AbelianSpec:
     @property
     def spec_string(self) -> str:
         return "x".join(f"Z{f}" for f in sorted(f for f in self.factors if f > 1)) or "Z1"
-
-    def to_group(self) -> GroupTable:
-        g = build_cyclic(self.factors[0])
-        for f in self.factors[1:]:
-            g = direct_product(g, build_cyclic(f))
-        return g
 
 
 def _partitions(e: int, largest: int) -> Iterator[tuple[int, ...]]:
@@ -258,24 +250,40 @@ class FamilyRecord:
 
 @dataclass(frozen=True)
 class FamilyReport:
+    """Family records, structural checks and the groups a check could not solve."""
+
     records: tuple[FamilyRecord, ...]
+    checks: tuple[CheckReport, ...] = ()
+    notes: tuple[str, ...] = ()
+
+    @property
+    def failed(self) -> int:
+        return sum(r.failed for r in self.records) + sum(not c.ok for c in self.checks)
+
+    @property
+    def skipped(self) -> int:
+        return sum(r.skipped for r in self.records) + len(self.notes)
+
+    @property
+    def ok(self) -> int:
+        return (sum(not (r.failed or r.skipped) for r in self.records)
+                + sum(c.ok for c in self.checks))
 
     @property
     def exit_code(self) -> int:
         """0 if everything agrees, 1 on any mismatch, 2 if only skips occurred."""
-        if any(r.failed for r in self.records):
-            return 1
-        if any(r.skipped for r in self.records):
-            return 2
-        return 0
+        return 1 if self.failed else 2 if self.skipped else 0
 
 
-def verify_family(specs: Sequence[AbelianSpec], variant: Variant = GEN, *,
-                  order_cap: int = DEFAULT_ORDER_CAP) -> FamilyReport:
-    """Compare predicted and computed nim values over dihedralized groups.
+def _structure_solver(order_cap: int) -> Callable[[str, Variant], SolveResult]:
+    # Call with the game positional: the cache keys f(s) and f(s, GEN) apart.
+    return cache(lambda spec, variant: solve(
+        build_group(spec), variant, "structure", order_cap=order_cap))
 
-    Capacity and scope problems are reported per record, never raised.
-    """
+
+def _family_records(specs: Iterable[AbelianSpec], variant: Variant,
+                    structure: Callable[[str, Variant], SolveResult],
+                    order_cap: int) -> list[FamilyRecord]:
     records = []
     for a in specs:
         spec_str = f"Dih({a.spec_string})"
@@ -290,13 +298,12 @@ def verify_family(specs: Sequence[AbelianSpec], variant: Variant = GEN, *,
         try:
             # Checked on the spec, so an oversized part builds no table.
             check_order_cap(2 * a.order, order_cap)
-            a_table = a.to_group()
-            result = solve(dihedralize(a_table), variant, "structure",
-                           order_cap=order_cap)
-            # The abelian part keeps its element indices inside the
-            # dihedralization, so Frattini carriers compare directly; A's
-            # is the meet of its maximals.
-            a_frattini = reduce(and_, maximal_subgroups(a_table, order_cap=order_cap))
+            result = structure(spec_str, variant)
+            # Dih(A) built from A's spec keeps A's element indices, so
+            # Frattini carriers compare directly; A's is the meet of its
+            # maximals.
+            a_frattini = reduce(and_, maximal_subgroups(
+                build_group(a.spec_string), order_cap=order_cap))
             frattini_match = a_frattini == result.lattice.frattini_mask
         except CapacityError as exc:
             records.append(FamilyRecord(
@@ -308,7 +315,17 @@ def verify_family(specs: Sequence[AbelianSpec], variant: Variant = GEN, *,
             spec=spec_str, variant=variant, predicted=predicted,
             computed=result.nim, d_dih=result.d_g, d_a=a.rank,
             frattini_match=frattini_match, agree=result.nim == predicted))
-    return FamilyReport(records=tuple(records))
+    return records
+
+
+def verify_family(specs: Sequence[AbelianSpec], variant: Variant = GEN, *,
+                  order_cap: int = DEFAULT_ORDER_CAP) -> FamilyReport:
+    """Compare predicted and computed nim values over dihedralized groups.
+
+    Capacity and scope problems are reported per record, never raised.
+    """
+    return FamilyReport(records=tuple(_family_records(
+        specs, variant, _structure_solver(order_cap), order_cap)))
 
 
 @dataclass(frozen=True)
@@ -359,7 +376,7 @@ def check_even_type_table(g: GroupTable, lat: IntersectionLattice,
                        checked=checked, violations=tuple(violations))
 
 
-def check_option_deficiency(digraph: "StructureDigraph", dt: DeficiencyTable,
+def check_option_deficiency(digraph: StructureDigraph, dt: DeficiencyTable,
                             subject: str = "digraph") -> CheckReport:
     """Each class has an option one step closer to terminal and none farther.
 
@@ -419,7 +436,7 @@ def check_deficiency_oracle(g: GroupTable, lat: IntersectionLattice,
                        checked=len(delta), violations=tuple(violations))
 
 
-def check_odd_case_lemmas(digraph: "StructureDigraph", dt: DeficiencyTable,
+def check_odd_case_lemmas(digraph: StructureDigraph, dt: DeficiencyTable,
                           subject: str = "digraph") -> CheckReport:
     """Odd-class pattern of a dihedralized odd two-generator abelian group.
 
@@ -493,3 +510,54 @@ EXTENDED_CATALOG = SMALL_CATALOG + (
 
 # Abelian groups of order at most 27 for dihedralization identities.
 ABELIAN_CATALOG = tuple(dict.fromkeys(DIHEDRAL_FAMILY + THEOREM_FAMILY))
+
+# Dihedralized odd abelian parts needing at most two generators: the only
+# groups whose odd classes the odd-case pattern covers.
+ODD_CATALOG = ("Dih(Z3)", "Dih(Z5)", "Dih(Z7)", "Dih(Z9)", "Dih(Z11)",
+               "Dih(Z3xZ3)")
+
+# Suites of ``verify_suite``, in the order ``all`` runs them.
+SUITES = ("theorem", "dng", "even-types", "odd-lemmas", "deficiency", "all")
+
+
+def verify_suite(suite: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FamilyReport:
+    """Run one of ``SUITES`` (``all`` runs the others in order) as one report.
+
+    Each (group, game) is solved once per call; a group a check suite cannot
+    solve under ``order_cap`` gets one note, however many suites list it.
+    """
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    structure = _structure_solver(order_cap)
+    records: list[FamilyRecord] = []
+    if suite in ("theorem", "all"):
+        records += _family_records(map(AbelianSpec.from_spec, ABELIAN_CATALOG),
+                                   GEN, structure, order_cap)
+    if suite in ("dng", "all"):
+        records += _family_records(map(AbelianSpec.from_spec, DNG_FAMILY),
+                                   DNG, structure, order_cap)
+    checks: list[CheckReport] = []
+    notes: dict[str, str] = {}
+
+    def solved(specs: Iterable[str]) -> Iterator[tuple[str, SolveResult]]:
+        for s in specs:
+            try:
+                yield s, structure(s, GEN)
+            except CapacityError as exc:
+                notes.setdefault(s, f"{s}: {exc}")
+
+    if suite in ("even-types", "all"):
+        even = [s for s in SMALL_CATALOG if build_group(s).order % 2 == 0]
+        for _, r in solved(even):
+            checks.append(check_even_type_table(
+                r.lattice.group, r.lattice, r.deficiency, r.classes))
+    if suite in ("odd-lemmas", "all"):
+        for s, r in solved(ODD_CATALOG):
+            digraph = build_digraph(r.lattice.group, r.lattice, r.classes, r.deficiency)
+            checks.append(check_option_deficiency(digraph, r.deficiency, subject=s))
+            checks.append(check_odd_case_lemmas(digraph, r.deficiency, subject=s))
+    if suite in ("deficiency", "all"):
+        for _, r in solved(SMALL_CATALOG):
+            checks.append(check_deficiency_oracle(
+                r.lattice.group, r.lattice, r.deficiency))
+    return FamilyReport(tuple(records), tuple(checks), tuple(notes.values()))

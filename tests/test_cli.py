@@ -1,6 +1,11 @@
+import collections
 import csv
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -321,6 +326,83 @@ def test_verify_capacity_exit(capsys):
     assert "skip" in out
 
 
+def _notes(text):
+    return [line.split(":")[0][len("skip "):] for line in text.splitlines()
+            if re.match(r"skip \S+: ", line)]
+
+
+def test_verify_notes_each_group_once(capsys):
+    # one note per group a check suite cannot solve, in the order the
+    # suites first meet it: even-types, odd-lemmas, then deficiency
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--order-cap", "10")
+    assert code == 2
+    assert _notes(out) == [
+        "Z12", "Z14", "Z16", "Z2xZ6", "Dih(Z6)", "Dih(Z7)", "Dih(Z8)",
+        "Dih(Z2xZ4)", "Dih(Z2xZ2xZ2)", "Dih(Z9)", "Dih(Z11)", "Dih(Z3xZ3)",
+        "Z11", "Z13", "Z15"]
+    assert out.endswith("verify: 43 ok, 0 failed, 31 skipped\n")
+
+
+def test_verify_even_types_notes_only_even_groups(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "even-types",
+                       "--order-cap", "10")
+    assert code == 2
+    assert _notes(out) == ["Z12", "Z14", "Z16", "Z2xZ6", "Dih(Z6)", "Dih(Z7)",
+                           "Dih(Z8)", "Dih(Z2xZ4)", "Dih(Z2xZ2xZ2)"]
+
+
+def test_verify_all_solves_each_group_once(capsys, monkeypatch):
+    import nimgen.theory
+
+    calls = collections.Counter()
+    solve = nimgen.theory.solve
+
+    def counting(g, variant, *args, **kwargs):
+        calls[g.label, variant] += 1
+        return solve(g, variant, *args, **kwargs)
+
+    monkeypatch.setattr(nimgen.theory, "solve", counting)
+    code, _, _ = run(capsys, "verify", "--suite", "all")
+    assert code == 0
+    assert set(calls.values()) == {1}
+    assert sum(calls.values()) == 44
+
+
+def test_verify_all_joins_the_suites(capsys):
+    def payload(suite):
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--format", "json")
+        assert code == 0
+        return json.loads(out)
+
+    parts = {s: payload(s) for s in
+             ("theorem", "dng", "even-types", "odd-lemmas", "deficiency")}
+    assert payload("all") == {
+        "records": parts["theorem"]["records"] + parts["dng"]["records"],
+        "checks": [c for s in ("even-types", "odd-lemmas", "deficiency")
+                   for c in parts[s]["checks"]],
+        "notes": [],
+        "exitCode": 0,
+    }
+
+
+def test_broken_pipe_exits_quietly():
+    # The read end is closed before the child starts, so its first write
+    # fails: exit 2 as for an incomplete run, with no traceback.
+    src = str(Path(ng.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "nimgen", "solve", "Z4"],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == b""
+
+
 @pytest.mark.parametrize("argv", [
     ("solve", "Z100000"),
     ("solve", "Z400xZ400"),
@@ -338,7 +420,6 @@ def test_over_cap_builds_no_table(argv, capsys, monkeypatch, tmp_path):
     # rejected from the spec alone, before any Cayley table is built or a
     # table file's rows are parsed.
     import nimgen.groups
-    import nimgen.theory
 
     (tmp_path / "z300.tbl").write_text(
         nimgen.groups.to_table_text(nimgen.groups.build_cyclic(300)), encoding="utf-8")
@@ -356,12 +437,11 @@ def test_over_cap_builds_no_table(argv, capsys, monkeypatch, tmp_path):
             return build(*groups)
         return wrapper
 
-    for module in (nimgen.groups, nimgen.theory):
-        for name, order_of in (("build_cyclic", lambda n: n),
-                               ("direct_product", lambda g, h: g.order * h.order),
-                               ("dihedralize", lambda a: 2 * a.order)):
-            monkeypatch.setattr(module, name,
-                                refusing(getattr(nimgen.groups, name), order_of))
+    for name, order_of in (("build_cyclic", lambda n: n),
+                           ("direct_product", lambda g, h: g.order * h.order),
+                           ("dihedralize", lambda a: 2 * a.order)):
+        monkeypatch.setattr(nimgen.groups, name,
+                            refusing(getattr(nimgen.groups, name), order_of))
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert "capped at order 200" in out + err

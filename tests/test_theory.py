@@ -123,7 +123,7 @@ def test_abelian_rank():
 def test_abelian_spec_string_and_group():
     assert AbelianSpec((9, 3)).spec_string == "Z3xZ9"
     assert AbelianSpec((1,)).spec_string == "Z1"
-    g = AbelianSpec.from_spec("Z3xZ9").to_group()
+    g = ng.build_group(AbelianSpec.from_spec("Z3xZ9").spec_string)
     assert g.order == 27
     assert ng.is_abelian(g)
 
@@ -204,6 +204,17 @@ def test_verify_family_out_of_scope():
     report = ng.verify_family([AbelianSpec((1,))], ng.GEN)
     assert report.exit_code == 2
     assert report.records[0].computed is None
+
+
+def test_verify_suite_counts_checks_and_notes():
+    report = ng.verify_suite("odd-lemmas", order_cap=14)
+    assert report.records == ()
+    assert [n.split(":")[0] for n in report.notes] == [
+        "Dih(Z9)", "Dih(Z11)", "Dih(Z3xZ3)"]
+    assert (report.ok, report.failed, report.skipped, report.exit_code) == (
+        6, 0, 3, 2)
+    with pytest.raises(ValueError, match="unknown suite"):
+        ng.verify_suite("family")
 
 
 def test_family_record_dict_keys():
