@@ -1,9 +1,9 @@
 """Command-line interface: solve games, draw diagrams, verify, tabulate.
 
-``verify`` takes its report from ``theory.verify_family`` or
-``theory.verify_suite`` and only renders it; the report's counts give the
-exit code.  All output is UTF-8 with LF line endings; wall-time fields are
-the only nondeterministic part.
+Specs are built by ``lattice.build_capped``, which refuses one over the
+order cap unbuilt.  ``verify`` renders the report of ``theory.verify_family``
+or ``theory.verify_suite``, whose counts give the exit code.  All output is
+UTF-8 with LF line endings; wall-time fields are the only nondeterministic part.
 """
 
 from __future__ import annotations
@@ -25,52 +25,12 @@ from .diagram import (
     simplify,
     to_dot,
 )
-from .errors import CapacityError, NimgenError, TableFormatError
-from .groups import (Cyclic, Dih, GroupSpec, GroupTable, Product, build_group,
-                     parse_group_spec, table_file_order)
-from .lattice import DEFAULT_ORDER_CAP, check_order_cap
+from .errors import NimgenError
+from .lattice import DEFAULT_ORDER_CAP, build_capped
 from .solver import DEFAULT_BRUTE_CAP, DNG, GEN, solve
 from .theory import SUITES, AbelianSpec, verify_family, verify_suite
 
 _VARIANTS = {"gen": GEN, "dng": DNG}
-
-
-def _spec_order(spec: GroupSpec, in_dih: bool = False) -> tuple[int, bool]:
-    """Order of the group a spec describes, without building it, and
-    whether that order is exact.
-
-    Where building may fail first, the order is a lower bound: the order
-    a table file's header declares (1 if the header is not an order),
-    twice the inner bound for a ``Dih`` inside a ``Dih``, which
-    need not be abelian, and the product of the bounds for a product.
-    """
-    if isinstance(spec, Cyclic):
-        return spec.n, True
-    if isinstance(spec, Product):
-        left, left_exact = _spec_order(spec.left, in_dih)
-        right, right_exact = _spec_order(spec.right, in_dih)
-        return left * right, left_exact and right_exact
-    if isinstance(spec, Dih):
-        inner, exact = _spec_order(spec.inner, True)
-        return 2 * inner, exact and not in_dih
-    try:  # the header alone: an over-cap table file is refused unparsed
-        return table_file_order(spec.path), False
-    except (TableFormatError, UnicodeDecodeError):  # the loader reports it
-        return 1, False
-
-
-def _build_capped(spec_str: str, order_cap: int) -> GroupTable:
-    """The group of a spec string; one whose order, or a lower bound of it,
-    the spec gives and which is over ``order_cap`` raises CapacityError
-    before any table is built.  Orders below 2 are left to ``solve``."""
-    spec = parse_group_spec(spec_str)
-    order, exact = _spec_order(spec)
-    if exact and order >= 2:
-        check_order_cap(order, order_cap)
-    elif order >= 2 and order > order_cap:
-        raise CapacityError(f"structure lattice capped at order {order_cap}, "
-                            f"spec declares order at least {order}")
-    return build_group(spec)
 
 
 def _solve_record(spec_str: str, variant: str, mode: str, *, brute_cap: int,
@@ -79,7 +39,7 @@ def _solve_record(spec_str: str, variant: str, mode: str, *, brute_cap: int,
     record: dict = {"spec": spec_str, "variant": variant,
                     "tool_version": __version__}
     try:
-        g = _build_capped(spec_str, order_cap)
+        g = build_capped(spec_str, order_cap)
         result = solve(g, variant, mode, brute_cap=brute_cap,
                        order_cap=order_cap)
         record.update(order=g.order, nim=result.nim, mode=result.mode,
@@ -149,7 +109,7 @@ def cmd_diagram(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
-        r = solve(_build_capped(args.spec, args.order_cap), GEN, "structure",
+        r = solve(build_capped(args.spec, args.order_cap), GEN, "structure",
                   order_cap=args.order_cap)
         digraph = build_digraph(r.lattice.group, r.lattice, r.classes, r.deficiency)
         drawing = simplify(digraph) if args.simplified else digraph

@@ -3,7 +3,8 @@
 Element indices run 0..order-1 and index 0 is always the identity.  Subsets
 of a group (game positions, subgroup carriers, generating sets) are plain
 ``int`` bitmasks over element indices, so membership, union and intersection
-are single integer operations.
+are single integer operations.  ``spec_order`` reads a spec's order without
+building it, so ``lattice.build_capped`` can refuse an oversized spec.
 """
 
 from __future__ import annotations
@@ -373,6 +374,30 @@ def build_group(spec: GroupSpec | str) -> GroupTable:
     raise TypeError(f"not a group spec: {spec!r}")
 
 
+def spec_order(spec: GroupSpec, in_dih: bool = False) -> tuple[int, bool]:
+    """Order of the group a spec describes, without building it, and
+    whether that order is exact.
+
+    Where ``build_group`` may fail first, the order is a lower bound: the
+    order a table file's header declares (1 if the header is not an order),
+    twice the inner bound for a ``Dih`` inside a ``Dih``, which need not be
+    abelian, and the product of the bounds for a product.
+    """
+    if isinstance(spec, Cyclic):
+        return spec.n, True
+    if isinstance(spec, Product):
+        left, left_exact = spec_order(spec.left, in_dih)
+        right, right_exact = spec_order(spec.right, in_dih)
+        return left * right, left_exact and right_exact
+    if isinstance(spec, Dih):
+        inner, exact = spec_order(spec.inner, True)
+        return 2 * inner, exact and not in_dih
+    try:  # the header alone: an over-cap table file is refused unparsed
+        return table_file_order(spec.path), False
+    except TableFormatError:  # the loader reports it
+        return 1, False
+
+
 # ---------------------------------------------------------------------------
 # Cayley table files
 
@@ -397,7 +422,7 @@ def table_file_order(path: str | Path) -> int:
     try:
         with open(path, encoding="utf-8") as fh:
             return _declared_order(chain.from_iterable(map(str.splitlines, fh)))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TableFormatError(f"cannot read table file {Path(path)}: {exc}") from exc
 
 
@@ -406,7 +431,7 @@ def load_table_file(path: str | Path) -> GroupTable:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TableFormatError(f"cannot read table file {p}: {exc}") from exc
     return parse_table_text(text, label=f"table:{p}")
 

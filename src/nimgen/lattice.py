@@ -6,6 +6,7 @@ the position's structure class; the terminal class of generating positions
 is identified by the sentinel ``TERMINAL``.  Classes are found through the
 element-by-maximal incidence: an element's signature is the set of maximals
 holding it, and a class's intent is the set of maximals holding its carrier.
+Every entry point that takes a group spec builds it through ``build_capped``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from itertools import product
 from typing import Mapping
 
 from .errors import CapacityError
-from .groups import (GroupTable, double_coset, extend_subgroup, generated_subgroup,
-                     is_nilpotent, iter_mask, mask_of, prime_factors, span)
+from .groups import (GroupSpec, GroupTable, build_group, double_coset, extend_subgroup,
+                     generated_subgroup, is_nilpotent, iter_mask, mask_of,
+                     parse_group_spec, prime_factors, span, spec_order)
 
 TERMINAL = -1  # class id of the terminal class (the whole group)
 
@@ -32,6 +34,21 @@ def check_order_cap(order: int, order_cap: int) -> None:
     if order > order_cap:
         raise CapacityError(
             f"structure lattice capped at order {order_cap}, group has order {order}")
+
+
+def build_capped(spec: GroupSpec | str, order_cap: int) -> GroupTable:
+    """The group of a spec, refused with CapacityError before any table is
+    built when its order, or the lower bound ``spec_order`` gives, is over
+    ``order_cap``.  Orders below 2 are left to the solvers to refuse."""
+    if isinstance(spec, str):
+        spec = parse_group_spec(spec)
+    order, exact = spec_order(spec)
+    if exact and order >= 2:
+        check_order_cap(order, order_cap)
+    elif order >= 2 and order > order_cap:
+        raise CapacityError(f"structure lattice capped at order {order_cap}, "
+                            f"spec declares order at least {order}")
+    return build_group(spec)
 
 
 def all_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> tuple[int, ...]:

@@ -52,6 +52,27 @@ def brute_memo(spec: str, variant: str = ng.GEN) -> dict:
     return ng.brute_search(group(spec), variant)
 
 
+def refuse_builds_over(monkeypatch, limit: int) -> None:
+    """Patch the table builders of ``nimgen.groups`` to raise AssertionError
+    when asked for a group of order over ``limit``, so a test sees any
+    table built past a cap instead of waiting for it."""
+    import nimgen.groups
+
+    def refusing(build, order_of):
+        def wrapper(*groups):
+            if order_of(*groups) > limit:
+                raise AssertionError(f"{build.__name__} asked for order "
+                                     f"{order_of(*groups)}")
+            return build(*groups)
+        return wrapper
+
+    for name, order_of in (("build_cyclic", lambda n: n),
+                           ("direct_product", lambda g, h: g.order * h.order),
+                           ("dihedralize", lambda a: 2 * a.order)):
+        monkeypatch.setattr(nimgen.groups, name,
+                            refusing(getattr(nimgen.groups, name), order_of))
+
+
 def reference_closure(g: ng.GroupTable, seed: int) -> int:
     """Mask of the subgroup generated by ``seed`` (the identity is always
     in), closing the set under products pairwise: the reference for the

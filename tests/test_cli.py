@@ -343,6 +343,17 @@ def test_verify_notes_each_group_once(capsys):
     assert out.endswith("verify: 43 ok, 0 failed, 31 skipped\n")
 
 
+def test_verify_suite_builds_no_table_over_the_cap(capsys, monkeypatch):
+    # The check suites refuse an over-cap group from its spec, and the
+    # even-types suite reads orders without building the groups.
+    expected = run(capsys, "verify", "--suite", "all", "--order-cap", "10")
+    support.refuse_builds_over(monkeypatch, 10)
+    code, out, err = run(capsys, "verify", "--suite", "all", "--order-cap", "10")
+    assert (code, out, err) == expected
+    assert len(_notes(out)) == 15
+    assert out.endswith("verify: 43 ok, 0 failed, 31 skipped\n")
+
+
 def test_verify_even_types_notes_only_even_groups(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "even-types",
                        "--order-cap", "10")
@@ -478,6 +489,16 @@ def test_table_file_header_is_checked_against_the_cap(tmp_path, capsys):
         code, out, _ = run(capsys, "solve", *specs, "--format", "json")
         assert code == 0
         assert [r["order"] for r in json.loads(out)] == orders
+
+
+@pytest.mark.parametrize("data", [b"\xff2\n0 1\n1 0\n",
+                                  b"2\n0 1\n1 0\nname 0 \xff\n"])
+def test_non_utf8_table_file_is_named(data, tmp_path, capsys):
+    path = tmp_path / "bad.tbl"
+    path.write_bytes(data)
+    code, out, _ = run(capsys, "solve", f"table:{path}")
+    assert code == 2
+    assert f"ERROR  cannot read table file {path}: 'utf-8' codec" in out
 
 
 def test_nested_dih_within_cap_is_built_and_refused(capsys):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import nimgen as ng
 from nimgen.groups import (Cyclic, Dih, Product, extend_subgroup, span,
-                           subgroup_joins)
+                           spec_order, subgroup_joins)
 
 import support
 
@@ -217,6 +217,28 @@ def test_canonical_spec_sorts_factors():
     assert ng.canonical_spec(nested) == "Z2xZ2xZ3"
 
 
+def test_spec_order_is_the_built_order():
+    for spec in ng.EXTENDED_CATALOG:
+        assert spec_order(ng.parse_group_spec(spec)) == (
+            support.group(spec).order, True), spec
+
+
+@pytest.mark.parametrize("spec, expected", [
+    # a Dih inside a Dih need not be abelian: twice its inner order bounds it
+    ("Dih(Dih(Z3))", (12, False)),
+    ("Z2xDih(Z5xDih(Z3))", (120, False)),
+    ("Dih(Z2xZ2)xZ3", (24, True)),
+    # a table file counts its header, or 1 if the header is not an order
+    ("Dih(table:h300.tbl)", (600, False)),
+    ("Z2xtable:missing.tbl", (2, False)),
+])
+def test_spec_order_reads_no_table(spec, expected, monkeypatch, tmp_path):
+    (tmp_path / "h300.tbl").write_text("300\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    support.refuse_builds_over(monkeypatch, 0)
+    assert spec_order(ng.parse_group_spec(spec)) == expected
+
+
 def test_build_group_accepts_spec_or_string():
     a = ng.build_group("Dih(Z6)")
     b = ng.build_group(ng.parse_group_spec("Dih(Z6)"))
@@ -314,6 +336,21 @@ def test_table_rejects_malformed(tmp_path, text, hint):
 def test_table_missing_file():
     with pytest.raises(ng.TableFormatError):
         ng.load_table_file("/nonexistent/nowhere.tbl")
+
+
+@pytest.mark.parametrize("data", [b"\xff2\n0 1\n1 0\n",
+                                  b"2\n0 1\n1 0\nname 0 \xff\n"])
+def test_non_utf8_table_file_is_a_table_format_error(data, tmp_path):
+    path = tmp_path / "bad.tbl"
+    path.write_bytes(data)
+    message = f"cannot read table file {path}: 'utf-8' codec"
+    for load in (ng.load_table_file, lambda p: ng.build_group(f"table:{p}")):
+        with pytest.raises(ng.TableFormatError) as exc:
+            load(path)
+        assert str(exc.value).startswith(message)
+    if data.startswith(b"\xff"):
+        with pytest.raises(ng.TableFormatError, match="cannot read table file"):
+            ng.groups.table_file_order(path)
 
 
 def test_table_round_trip_keeps_every_catalog_group():

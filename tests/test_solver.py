@@ -231,6 +231,13 @@ def test_nim_of_game_modes():
         ng.nim_of_game("Z1")
 
 
+def test_nim_of_game_refuses_an_over_cap_spec_unbuilt(monkeypatch):
+    support.refuse_builds_over(monkeypatch, 1000)
+    with pytest.raises(ng.CapacityError,
+                       match="capped at order 200, group has order 100000"):
+        ng.nim_of_game("Z100000")
+
+
 @pytest.mark.parametrize("variant", [ng.GEN, ng.DNG])
 def test_solve_carries_the_structure_tables(variant):
     for spec in ng.EXTENDED_CATALOG:

@@ -217,6 +217,14 @@ def test_verify_suite_counts_checks_and_notes():
         ng.verify_suite("family")
 
 
+def test_verify_suite_builds_no_table_over_the_cap(monkeypatch):
+    support.refuse_builds_over(monkeypatch, 14)
+    report = ng.verify_suite("odd-lemmas", order_cap=14)
+    assert [n.split(":")[0] for n in report.notes] == [
+        "Dih(Z9)", "Dih(Z11)", "Dih(Z3xZ3)"]
+    assert (report.ok, report.skipped) == (6, 3)
+
+
 def test_family_record_dict_keys():
     report = ng.verify_family([AbelianSpec.from_spec("Z5")], ng.DNG)
     payload = report.records[0].to_dict()
