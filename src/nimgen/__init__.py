@@ -38,13 +38,11 @@ from .groups import (
     TableFile,
     build_cyclic,
     build_group,
-    canonical_spec,
     dihedralize,
     direct_product,
     element_order,
     generated_subgroup,
     is_abelian,
-    is_generating,
     is_nilpotent,
     iter_mask,
     load_table_file,
@@ -112,10 +110,9 @@ __all__ = [
     # groups
     "GroupTable", "Cyclic", "Product", "Dih", "TableFile", "GroupSpec",
     "build_cyclic", "direct_product", "dihedralize", "build_group",
-    "parse_group_spec", "canonical_spec", "load_table_file",
+    "parse_group_spec", "load_table_file",
     "parse_table_text", "to_table_text", "is_abelian", "is_nilpotent",
     "element_order", "mask_of", "iter_mask", "generated_subgroup",
-    "is_generating",
     # lattice
     "TERMINAL", "DEFAULT_ORDER_CAP", "IntersectionLattice", "all_subgroups",
     "maximal_subgroups", "intersection_subgroups", "ceil_class",

@@ -48,9 +48,6 @@ class GroupTable:
     def full_mask(self) -> int:
         return (1 << self.order) - 1
 
-    def name_of(self, i: int) -> str:
-        return self.names[i]
-
 
 def build_cyclic(n: int) -> GroupTable:
     """Cyclic group of order ``n`` with elements e, g, g^2, ..."""
@@ -230,10 +227,6 @@ def subgroup_joins(g: GroupTable) -> Callable[[int], dict[int, int]]:
     return joins
 
 
-def is_generating(g: GroupTable, mask: int) -> bool:
-    return generated_subgroup(g, mask) == g.full_mask
-
-
 # ---------------------------------------------------------------------------
 # Group spec expressions
 
@@ -333,30 +326,6 @@ def parse_group_spec(text: str) -> GroupSpec:
     if p.pos != len(text):
         p.fail("unexpected trailing input")
     return spec
-
-
-def _flatten_product(spec: GroupSpec) -> list[GroupSpec]:
-    if isinstance(spec, Product):
-        return _flatten_product(spec.left) + _flatten_product(spec.right)
-    return [spec]
-
-
-def canonical_spec(spec: GroupSpec) -> str:
-    """Stable spelling of a spec: product factors ascending, Dih outermost."""
-    if isinstance(spec, Cyclic):
-        return f"Z{spec.n}"
-    if isinstance(spec, Dih):
-        return f"Dih({canonical_spec(spec.inner)})"
-    if isinstance(spec, TableFile):
-        return f"table:{spec.path}"
-    factors = _flatten_product(spec)
-
-    def key(f: GroupSpec) -> tuple:
-        if isinstance(f, Cyclic):
-            return (0, f.n, "")
-        return (1, 0, canonical_spec(f))
-
-    return "x".join(canonical_spec(f) for f in sorted(factors, key=key))
 
 
 def build_group(spec: GroupSpec | str) -> GroupTable:

@@ -43,11 +43,9 @@ def build_capped(spec: GroupSpec | str, order_cap: int) -> GroupTable:
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     order, exact = spec_order(spec)
-    if exact and order >= 2:
-        check_order_cap(order, order_cap)
-    elif order >= 2 and order > order_cap:
-        raise CapacityError(f"structure lattice capped at order {order_cap}, "
-                            f"spec declares order at least {order}")
+    if order >= 2 and order > order_cap:
+        found = f"group has order {order}" if exact else f"spec declares order at least {order}"
+        raise CapacityError(f"structure lattice capped at order {order_cap}, {found}")
     return build_group(spec)
 
 

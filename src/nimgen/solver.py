@@ -42,9 +42,12 @@ Variant = Literal["GEN", "DNG"]
 DEFAULT_BRUTE_CAP = 16
 
 
-def _check_variant(variant: str) -> None:
+def _check_game(g: GroupTable, variant: str) -> None:
+    """Refuse a game other than GEN and DNG, or a group too small to play on."""
     if variant not in (GEN, DNG):
         raise ValueError(f"unknown game {variant!r}, expected {GEN!r} or {DNG!r}")
+    if g.order < 2:
+        raise ValueError("generation games need a group of order at least 2")
 
 
 def mex(values: Iterable[int]) -> int:
@@ -67,9 +70,7 @@ def brute_search(g: GroupTable, variant: Variant = GEN, *,
     (``subgroup_joins``): the elements of h, the non-generating moves outside
     h, never in the position, and whether a GEN-winning move exists.
     """
-    _check_variant(variant)
-    if g.order < 2:
-        raise ValueError("game solvers require a group of order at least 2")
+    _check_game(g, variant)
     if g.order > brute_cap:
         raise CapacityError(
             f"brute-force search capped at order {brute_cap}, group has order {g.order}")
@@ -142,9 +143,7 @@ def structure_nim(g: GroupTable, lat: IntersectionLattice,
     A generating position ends GEN with value 0; in DNG no move may reach
     one, so the terminal class is left out of every option list.
     """
-    _check_variant(variant)
-    if g.order < 2:
-        raise ValueError("game solvers require a group of order at least 2")
+    _check_game(g, variant)
     options = lat.options
     if variant == DNG:
         options = [[j for j in opts if j != TERMINAL] for opts in options]
@@ -190,9 +189,7 @@ def solve(g: GroupTable, variant: Variant = GEN, mode: str = "auto", *,
     above it, in both games.  The lattice is built in every mode, so
     ``order_cap`` bounds brute-force solves as well.
     """
-    _check_variant(variant)
-    if g.order < 2:
-        raise ValueError("generation games need a group of order at least 2")
+    _check_game(g, variant)
     if mode == "auto":
         mode = "brute" if g.order <= brute_cap else "structure"
     elif mode not in ("brute", "structure"):

@@ -27,7 +27,6 @@ from .groups import (
     GroupTable,
     Product,
     build_group,
-    canonical_spec,
     parse_group_spec,
     prime_factors,
     spec_order,
@@ -99,9 +98,16 @@ class AbelianSpec:
 
     @classmethod
     def from_spec(cls, spec: GroupSpec | str) -> "AbelianSpec":
-        if isinstance(spec, str):
-            spec = parse_group_spec(spec)
-        return cls(tuple(_cyclic_factors(spec)))
+        """The factors of a product of cyclic specs, left to right; any other
+        spec is refused with a ValueError naming ``spec`` as given."""
+        def factors(s: GroupSpec) -> list[int]:
+            if isinstance(s, Product):
+                return factors(s.left) + factors(s.right)
+            if isinstance(s, Cyclic):
+                return [s.n]
+            raise ValueError(f"not a direct product of cyclic groups: {spec}")
+
+        return cls(tuple(factors(parse_group_spec(spec) if isinstance(spec, str) else spec)))
 
     @property
     def order(self) -> int:
@@ -165,14 +171,6 @@ def abelian_groups(order: int) -> tuple[AbelianSpec, ...]:
     return tuple(out)
 
 
-def _cyclic_factors(spec: GroupSpec) -> list[int]:
-    if isinstance(spec, Cyclic):
-        return [spec.n]
-    if isinstance(spec, Product):
-        return _cyclic_factors(spec.left) + _cyclic_factors(spec.right)
-    raise ValueError(f"not a direct product of cyclic groups: {canonical_spec(spec)}")
-
-
 def predict_gen_dih(a: AbelianSpec) -> int:
     """Expected achievement-game nim value of the dihedralized group.
 
@@ -213,12 +211,12 @@ class FamilyRecord:
 
     spec: str
     variant: str
-    predicted: int | None
-    computed: int | None
-    d_dih: int | None
-    d_a: int | None
-    frattini_match: bool | None
-    agree: bool | None
+    predicted: int | None = None
+    computed: int | None = None
+    d_dih: int | None = None
+    d_a: int | None = None
+    frattini_match: bool | None = None
+    agree: bool | None = None
     note: str = ""
 
     @property
@@ -292,10 +290,7 @@ def _family_records(specs: Iterable[AbelianSpec], variant: Variant,
         try:
             predicted = (predict_gen_dih(a) if variant == GEN else predict_dng_dih(a))
         except OutOfScopeError as exc:
-            records.append(FamilyRecord(
-                spec=spec_str, variant=variant, predicted=None, computed=None,
-                d_dih=None, d_a=None, frattini_match=None, agree=None,
-                note=str(exc)))
+            records.append(FamilyRecord(spec_str, variant, note=str(exc)))
             continue
         try:
             result = structure(spec_str, variant)
@@ -306,10 +301,8 @@ def _family_records(specs: Iterable[AbelianSpec], variant: Variant,
                 build_group(a.spec_string), order_cap=order_cap))
             frattini_match = a_frattini == result.lattice.frattini_mask
         except CapacityError as exc:
-            records.append(FamilyRecord(
-                spec=spec_str, variant=variant, predicted=predicted, computed=None,
-                d_dih=None, d_a=a.rank, frattini_match=None, agree=None,
-                note=str(exc)))
+            records.append(FamilyRecord(spec_str, variant, predicted, d_a=a.rank,
+                                        note=str(exc)))
             continue
         records.append(FamilyRecord(
             spec=spec_str, variant=variant, predicted=predicted,
@@ -376,6 +369,14 @@ def check_even_type_table(g: GroupTable, lat: IntersectionLattice,
                        checked=checked, violations=tuple(violations))
 
 
+def _options_by_class(digraph: StructureDigraph) -> dict[int, set[int]]:
+    """The option classes of every vertex, read from the digraph's edges."""
+    opts: dict[int, set[int]] = {v.cid: set() for v in digraph.vertices}
+    for a, b in digraph.edges:
+        opts[a].add(b)
+    return opts
+
+
 def check_option_deficiency(digraph: StructureDigraph, dt: DeficiencyTable,
                             subject: str = "digraph") -> CheckReport:
     """Each class has an option one step closer to terminal and none farther.
@@ -383,9 +384,7 @@ def check_option_deficiency(digraph: StructureDigraph, dt: DeficiencyTable,
     For even classes all options are even (carriers contain the even carrier),
     so the step-closer option is itself even.
     """
-    opts: dict[int, set[int]] = {v.cid: set() for v in digraph.vertices}
-    for a, b in digraph.edges:
-        opts[a].add(b)
+    opts = _options_by_class(digraph)
     parity = {v.cid: v.parity for v in digraph.vertices}
     violations = []
     checked = 0
@@ -444,9 +443,7 @@ def check_odd_case_lemmas(digraph: StructureDigraph, dt: DeficiencyTable,
     2 and 3 they have an odd option one step closer; at deficiency 1..3 they
     have an even option one step closer and no even option at the same depth.
     """
-    opts: dict[int, set[int]] = {v.cid: set() for v in digraph.vertices}
-    for a, b in digraph.edges:
-        opts[a].add(b)
+    opts = _options_by_class(digraph)
     by_id = {v.cid: v for v in digraph.vertices}
     violations = []
     checked = 0

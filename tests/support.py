@@ -329,6 +329,22 @@ def relabelled(g: ng.GroupTable, seed: int) -> ng.GroupTable:
                                label=f"{g.label} relabelled {seed}")
 
 
+def frattini_quotient(g: ng.GroupTable) -> ng.GroupTable:
+    """G/Φ(G) as a Cayley table, one element per coset xΦ, numbered in the
+    order of its least member x, so the identity coset comes first."""
+    phi = list(ng.iter_mask(ng.intersection_subgroups(g).frattini_mask))
+    coset_of: dict[int, int] = {}
+    reps = []
+    for x in range(g.order):
+        if x not in coset_of:
+            for z in phi:
+                coset_of[g.mul[x][z]] = len(reps)
+            reps.append(x)
+    rows = [" ".join(str(coset_of[g.mul[a][b]]) for b in reps) for a in reps]
+    return ng.parse_table_text(f"{len(reps)}\n" + "\n".join(rows) + "\n",
+                               label=f"{g.label}/Frattini")
+
+
 # Generators of small permutation groups, each permutation of 0..k-1 given
 # as the tuple of its images.
 PERMUTATION_GROUPS = {

@@ -46,3 +46,26 @@ def test_relabelling_keeps_every_invariant(spec):
 ])
 def test_isomorphic_spellings_agree(a, b):
     assert _invariants(support.group(a)) == _invariants(support.group(b))
+
+
+def _odd_frattini(spec: str) -> bool:
+    n = support.lattice(spec).frattini_mask.bit_count()
+    return n > 1 and n % 2 == 1
+
+
+# Every maximal subgroup contains Φ(G), so G and G/Φ(G) have matching
+# carriers, options and d(G), each carrier's order multiplied by |Φ(G)|.
+# An odd |Φ(G)| keeps every parity, so both games and the diagram agree.
+ODD_FRATTINI = [s for s in ng.EXTENDED_CATALOG if _odd_frattini(s)]
+
+
+def test_odd_frattini_groups_of_the_catalog():
+    assert ODD_FRATTINI == ["Z9", "Dih(Z9)", "Dih(Z3xZ9)"]
+
+
+@pytest.mark.parametrize("spec", ODD_FRATTINI)
+def test_frattini_quotient_keeps_every_invariant(spec):
+    g = support.group(spec)
+    quotient = support.frattini_quotient(g)
+    assert quotient.order * support.lattice(spec).frattini_mask.bit_count() == g.order
+    assert _invariants(quotient) == _invariants(g)

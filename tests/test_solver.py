@@ -265,3 +265,24 @@ def test_unknown_variant_is_rejected():
         ng.brute_search(g, "gen")
     with pytest.raises(ValueError, match="unknown game"):
         ng.structure_nim(g, support.lattice("Z2"), "avoid")
+
+
+# structure_nim is handed Z2's lattice: Z1 has none, and the gate refuses
+# the group before the lattice is read.
+_SOLVERS = {
+    "brute_search": ng.brute_search,
+    "structure_nim": lambda g, variant: ng.structure_nim(g, support.lattice("Z2"), variant),
+    "solve": ng.solve,
+}
+
+
+@pytest.mark.parametrize("solver", sorted(_SOLVERS))
+@pytest.mark.parametrize("spec, variant, message", [
+    ("Z2", "gen", "unknown game 'gen', expected 'GEN' or 'DNG'"),
+    ("Z1", ng.GEN, "generation games need a group of order at least 2"),
+    ("Z1", ng.DNG, "generation games need a group of order at least 2"),
+], ids=["unknown-game", "Z1-GEN", "Z1-DNG"])
+def test_every_solver_refuses_a_bad_game_alike(solver, spec, variant, message):
+    with pytest.raises(ValueError) as exc:
+        _SOLVERS[solver](support.group(spec), variant)
+    assert str(exc.value) == message

@@ -100,6 +100,7 @@ def test_deficiency_oracle_flags_wrong_table():
 def test_abelian_spec_parsing():
     a = AbelianSpec.from_spec("Z3xZ9")
     assert a.factors == (3, 9)
+    assert AbelianSpec.from_spec("Z9xZ2xZ3").factors == (9, 2, 3)
     assert a.order == 27
     assert a.is_odd
     assert a.rank == 2
@@ -108,6 +109,13 @@ def test_abelian_spec_parsing():
         AbelianSpec.from_spec("Dih(Z3)")
     with pytest.raises(ValueError):
         AbelianSpec(factors=())
+
+
+@pytest.mark.parametrize("spec", ["Dih(Z3)", "Z2xDih(Z3)", "Z9 x table:k4.tbl"])
+def test_abelian_spec_names_a_refused_spec_as_written(spec):
+    with pytest.raises(ValueError) as exc:
+        AbelianSpec.from_spec(spec)
+    assert str(exc.value) == f"not a direct product of cyclic groups: {spec}"
 
 
 def test_abelian_rank():
