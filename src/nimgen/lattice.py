@@ -1,5 +1,9 @@
 """Maximal subgroups and the intersection lattice they generate.
 
+The maximal subgroups come by one of three routes: a closed form for a
+non-abelian Dih(A), the Frattini quotients of a nilpotent group, and for
+any other group the enumeration of every subgroup.
+
 A position of the generation game sits inside a unique smallest intersection
 of maximal subgroups (or generates the whole group).  That intersection is
 the position's structure class; the terminal class of generating positions
@@ -13,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import CapacityError
 from .groups import (GroupSpec, GroupTable, build_group, double_coset, extend_subgroup,
@@ -29,11 +33,12 @@ def _by_size(masks) -> tuple[int, ...]:
     return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
 
 
-def check_order_cap(order: int, order_cap: int) -> None:
-    """Raise CapacityError if a group of ``order`` is over ``order_cap``."""
+def check_order_cap(order: int, order_cap: int, exact: bool = True) -> None:
+    """Raise CapacityError if a group of ``order`` is over ``order_cap``;
+    with ``exact`` false, ``order`` is the lower bound a spec declares."""
     if order > order_cap:
-        raise CapacityError(
-            f"structure lattice capped at order {order_cap}, group has order {order}")
+        found = f"group has order {order}" if exact else f"spec declares order at least {order}"
+        raise CapacityError(f"structure lattice capped at order {order_cap}, {found}")
 
 
 def build_capped(spec: GroupSpec | str, order_cap: int) -> GroupTable:
@@ -43,9 +48,8 @@ def build_capped(spec: GroupSpec | str, order_cap: int) -> GroupTable:
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     order, exact = spec_order(spec)
-    if order >= 2 and order > order_cap:
-        found = f"group has order {order}" if exact else f"spec declares order at least {order}"
-        raise CapacityError(f"structure lattice capped at order {order_cap}, {found}")
+    if order >= 2:
+        check_order_cap(order, order_cap, exact)
     return build_group(spec)
 
 
@@ -111,8 +115,9 @@ def all_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> tuple
     return _by_size(seen)
 
 
-def _nilpotent_maximals(g: GroupTable) -> list[int]:
-    """Maximal subgroups of a nilpotent group, from its Frattini quotients.
+def _nilpotent_maximals(g: GroupTable, elems: Sequence[int]) -> list[int]:
+    """Maximal subgroups of the nilpotent subgroup with elements ``elems``
+    (``range(g.order)`` for G itself), from its Frattini quotients.
 
     Every maximal subgroup of a nilpotent group is normal of prime index p
     and contains N_p = <commutators, p-th powers>, and G/N_p is an F_p
@@ -123,21 +128,21 @@ def _nilpotent_maximals(g: GroupTable) -> list[int]:
     functional whose first non-zero coefficient is 1 cuts out one maximal,
     (p^r - 1)/(p - 1) of them.
     """
-    n, mul, inv = g.order, g.mul, g.inv
+    mul, inv = g.mul, g.inv
     commutators = 0
-    for x in range(n):
-        for y in range(n):
+    for x in elems:
+        for y in elems:
             commutators |= 1 << mul[inv[mul[y][x]]][mul[x][y]]
     maxi = []
-    for p in prime_factors(n):
+    for p in prime_factors(len(elems)):
         seed = commutators
-        for x in range(n):
+        for x in elems:
             y = x
             for _ in range(p - 1):
                 y = mul[y][x]
             seed |= 1 << y
         coords = {z: () for z in iter_mask(generated_subgroup(g, seed))}
-        for b in range(n):
+        for b in elems:
             if b in coords:
                 continue
             # The subgroup covered so far contains N_p, so it is normal and
@@ -157,18 +162,52 @@ def _nilpotent_maximals(g: GroupTable) -> list[int]:
     return maxi
 
 
+def _dih_maximals(g: GroupTable) -> list[int] | None:
+    """Maximal subgroups of a non-abelian Dih(A) = A ⋊ <t>, t inverting A,
+    or None when G is not one.
+
+    Let A be the span of the non-involutions.  G is a non-abelian Dih(A)
+    exactly when A is non-trivial of index 2 and every element outside A is
+    an involution: then (ta)^2 = e gives t·a·t^-1 = a^-1 for every a in A,
+    so inversion is an automorphism of A and A is abelian.  The maximals
+    are A and, for each maximal M of A, of prime index p, the p subgroups
+    M ∪ M·r·t, one per coset rM: a maximal H ≠ A meets A in some M, t
+    normalizes every subgroup of A, so M is maximal in A, and each such
+    union has prime index.
+    """
+    n, mul = g.order, g.mul
+    a, elems, _ = span(g, mask_of(x for x in range(n) if mul[x][x]))
+    outside = [x for x in range(n) if not (a >> x) & 1]
+    if n == 2 or 2 * len(elems) != n or any(mul[x][x] for x in outside):
+        return None
+    t, maxi = outside[0], [a]
+    for m in _nilpotent_maximals(g, elems):
+        members, covered = list(iter_mask(m)), 0
+        for r in elems:
+            if not (covered >> r) & 1:
+                coset = [mul[z][r] for z in members]
+                covered |= mask_of(coset)
+                maxi.append(m | mask_of(mul[c][t] for c in coset))
+    return maxi
+
+
 def maximal_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> tuple[int, ...]:
     """Masks of the maximal subgroups, sorted by size, then by mask.
 
-    Nilpotent groups read them off their Frattini quotients.  Other groups
-    enumerate every subgroup and keep, from the largest proper one down,
-    each that lies in no maximal kept so far: O(subgroups x maximals).
+    Three routes, with no subgroup enumeration for the first two.  A
+    non-abelian Dih(A), recognized on the table, takes A and the maximals
+    of A with their cosets through t (``_dih_maximals``).  Nilpotent groups
+    read them off their Frattini quotients.  Other groups enumerate every
+    subgroup and keep, from the largest proper one down, each that lies in
+    no maximal kept so far: O(subgroups x maximals).
     """
     if g.order < 2:
         raise ValueError("the trivial group has no maximal subgroups")
     check_order_cap(g.order, order_cap)
+    if (dih := _dih_maximals(g)) is not None:
+        return _by_size(dih)
     if is_nilpotent(g):
-        return _by_size(_nilpotent_maximals(g))
+        return _by_size(_nilpotent_maximals(g, range(g.order)))
     maxi: list[int] = []
     for m in reversed(all_subgroups(g, order_cap=order_cap)[:-1]):
         if not any(m | k == k for k in maxi):

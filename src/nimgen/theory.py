@@ -97,7 +97,7 @@ class AbelianSpec:
             raise ValueError(f"cyclic factors must be positive, got {self.factors}")
 
     @classmethod
-    def from_spec(cls, spec: GroupSpec | str) -> "AbelianSpec":
+    def from_spec(cls, spec: str) -> "AbelianSpec":
         """The factors of a product of cyclic specs, left to right; any other
         spec is refused with a ValueError naming ``spec`` as given."""
         def factors(s: GroupSpec) -> list[int]:
@@ -107,7 +107,7 @@ class AbelianSpec:
                 return [s.n]
             raise ValueError(f"not a direct product of cyclic groups: {spec}")
 
-        return cls(tuple(factors(parse_group_spec(spec) if isinstance(spec, str) else spec)))
+        return cls(tuple(factors(parse_group_spec(spec))))
 
     @property
     def order(self) -> int:

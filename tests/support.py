@@ -239,7 +239,7 @@ def reference_subgroups(g: ng.GroupTable) -> tuple[int, ...]:
 
 def reference_maximals(g: ng.GroupTable) -> tuple[int, ...]:
     """Maximal subgroups by the O(S^2) containment filter over every
-    subgroup: the reference for both routes of ``maximal_subgroups``."""
+    subgroup: the reference for every route of ``maximal_subgroups``."""
     proper = [m for m in ng.all_subgroups(g) if m != g.full_mask]
     return tuple(m for m in proper
                  if not any(m != k and m | k == k for k in proper))

@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 import nimgen as ng
+from nimgen import lattice
 
 import support
 
@@ -123,6 +124,44 @@ def test_maximals_match_containment_filter():
                 assert ng.is_nilpotent(h)
                 assert ng.maximal_subgroups(h) == support.reference_maximals(h), spec
     assert nilpotent == 34
+
+
+def _non_abelian_dih(limit):
+    """Every non-abelian Dih(A) with |A| <= ``limit``."""
+    groups = (ng.build_group(f"Dih({a.spec_string})")
+              for n in range(1, limit + 1) for a in ng.abelian_groups(n))
+    return [g for g in groups if not ng.is_abelian(g)]
+
+
+def test_dih_route_matches_containment_filter():
+    # the Dih(A) route reads A off the table, so relabelled tables take it too
+    for g in _non_abelian_dih(48):
+        for h in (g, support.relabelled(g, 1)):
+            assert lattice._dih_maximals(h) is not None, h.label
+            assert ng.maximal_subgroups(h) == support.reference_maximals(h), h.label
+
+
+def test_dih_route_fires_only_on_non_abelian_dih():
+    # Dih(Z4)xZ2 is Dih(Z4xZ2); Z2 is Dih(Z1) but abelian
+    assert lattice._dih_maximals(support.group("Dih(Z4)xZ2")) is not None
+    others = [support.group(spec) for spec in (
+        "A4", "S4", "A5", "Dih(Z3)xZ3", "Dih(Z3)xDih(Z3)", "Dih(Z4)xZ3", "Z4xZ2")]
+    others += [ng.build_group(a.spec_string)
+               for n in range(2, 65) for a in ng.abelian_groups(n)]
+    for g in others:
+        assert lattice._dih_maximals(g) is None, g.label
+
+
+@pytest.mark.parametrize("a", ["Z99", "Z3xZ9", "Z2xZ2xZ2xZ2xZ6"])
+def test_dih_solve_enumerates_no_subgroups(a, monkeypatch):
+    def refusing(*args, **kwargs):
+        raise AssertionError("all_subgroups called")
+
+    monkeypatch.setattr(lattice, "all_subgroups", refusing)
+    g, spec = ng.build_group(f"Dih({a})"), ng.AbelianSpec.from_spec(a)
+    for variant, predict in ((ng.GEN, ng.predict_gen_dih), (ng.DNG, ng.predict_dng_dih)):
+        result = ng.solve(g, variant)
+        assert (result.nim, result.d_g) == (predict(spec), spec.rank + 1)
 
 
 def test_maximals_need_order_two():
