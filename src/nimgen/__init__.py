@@ -58,7 +58,6 @@ from .lattice import (
     all_subgroups,
     ceil_class,
     DeficiencyTable,
-    class_edges,
     class_parity,
     deficiency_table,
     intersection_subgroups,
@@ -116,7 +115,7 @@ __all__ = [
     # lattice
     "TERMINAL", "DEFAULT_ORDER_CAP", "IntersectionLattice", "all_subgroups",
     "maximal_subgroups", "intersection_subgroups", "ceil_class",
-    "class_parity", "class_edges", "DeficiencyTable", "deficiency_table",
+    "class_parity", "DeficiencyTable", "deficiency_table",
     # solver
     "GEN", "DNG", "DEFAULT_BRUTE_CAP", "mex", "brute_search", "brute_nim", "ClassNimTable", "structure_nim",
     "SolveResult", "solve", "nim_of_game",

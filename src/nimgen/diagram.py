@@ -6,6 +6,13 @@ triple (carrier parity, nim value on even positions, nim value on odd
 positions).  Merging vertices that share a type and an option-type profile
 yields a small diagram whose shape is often the same across a whole family
 of groups.
+
+Both diagram types store one option tuple per vertex, parallel to
+``vertices``.  A structure digraph keeps the lattice's class order with the
+terminal vertex last, so ``vertices[cid]`` and ``options[cid]`` address
+every class, ``TERMINAL`` (-1) included, and its options are class ids.  A
+simplified diagram's options are vertex indices.  For either, option j of
+an n-vertex diagram is vertex ``j % n``, and ``edges`` flattens the table.
 """
 
 from __future__ import annotations
@@ -15,8 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .groups import GroupTable
-from .lattice import (TERMINAL, DeficiencyTable, IntersectionLattice,
-                      class_edges, class_parity)
+from .lattice import TERMINAL, DeficiencyTable, IntersectionLattice, class_parity
 from .solver import ClassNimTable
 
 
@@ -37,10 +43,18 @@ class DigraphVertex:
 
 @dataclass(frozen=True)
 class StructureDigraph:
-    """Option digraph over intersection classes; edges reference class ids."""
+    """Option digraph over intersection classes in class-id order, the
+    terminal vertex last: ``vertices[cid]`` is class ``cid`` and
+    ``options[cid]`` its sorted option class ids, for ``TERMINAL`` too."""
 
     vertices: tuple[DigraphVertex, ...]
-    edges: tuple[tuple[int, int], ...]
+    options: tuple[tuple[int, ...], ...]
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every (class, option class) pair, in class order."""
+        return tuple((v.cid, b) for v, opts in zip(self.vertices, self.options)
+                     for b in opts)
 
 
 @dataclass(frozen=True)
@@ -51,10 +65,16 @@ class MergedVertex:
 
 @dataclass(frozen=True)
 class SimplifiedDiagram:
-    """Type-merged digraph; edges reference vertex list indices."""
+    """Type-merged digraph: ``options[i]`` lists the vertex indices that
+    vertex i has an edge to, sorted and without i itself."""
 
     vertices: tuple[MergedVertex, ...]
-    edges: tuple[tuple[int, int], ...]
+    options: tuple[tuple[int, ...], ...]
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every (vertex index, option index) pair, sorted."""
+        return tuple((a, b) for a, opts in enumerate(self.options) for b in opts)
 
 
 def type_of(nims: ClassNimTable, lat: IntersectionLattice, cid: int) -> TypeTriple:
@@ -83,7 +103,7 @@ def build_digraph(g: GroupTable, lat: IntersectionLattice, nims: ClassNimTable,
         deficiency=0,
         vtype=type_of(nims, lat, TERMINAL),
     ))
-    return StructureDigraph(vertices=tuple(vertices), edges=class_edges(lat))
+    return StructureDigraph(vertices=tuple(vertices), options=lat.options + ((),))
 
 
 def simplify(d: StructureDigraph | SimplifiedDiagram, *,
@@ -99,31 +119,26 @@ def simplify(d: StructureDigraph | SimplifiedDiagram, *,
     The terminal vertex stays alone: its type is (p, 0, 0), and every class
     has two distinct nim values.
     """
-    if isinstance(d, SimplifiedDiagram):
-        members = [v.members for v in d.vertices]
-        edges = set(d.edges)
-    else:
-        members = [(v.cid,) for v in d.vertices]
-        key_of = {v.cid: i for i, v in enumerate(d.vertices)}
-        edges = {(key_of[a], key_of[b]) for a, b in d.edges}
+    members = [v.members if isinstance(d, SimplifiedDiagram) else (v.cid,)
+               for v in d.vertices]
     types = [v.vtype for v in d.vertices]
-    profiles = [{t} for t in types]
-    for a, b in edges:
-        profiles[a].add(types[b])
-
     blocks: dict[tuple, list[int]] = {}
     for i, t in enumerate(types):
-        blocks.setdefault((t, frozenset(profiles[i])), []).append(i)
+        profile = frozenset([t, *(types[j] for j in d.options[i])])
+        blocks.setdefault((t, profile), []).append(i)
     merged = sorted(
         (types[block[0]], tuple(sorted(c for i in block for c in members[i])),
          block)
         for block in blocks.values())
-    home = {i: k for k, (_, _, block) in enumerate(merged) for i in block}
-    out_vertices = tuple(MergedVertex(vtype=t, members=cids)
-                         for t, cids, _ in merged)
-    out_edges = sorted({(home[a], home[b]) for a, b in edges
-                        if home[a] != home[b]})
-    return SimplifiedDiagram(vertices=out_vertices, edges=tuple(out_edges))
+    # option -1, the terminal class, reads the last entry of a list
+    home = [0] * len(types)
+    for k, (_, _, block) in enumerate(merged):
+        for i in block:
+            home[i] = k
+    return SimplifiedDiagram(
+        vertices=tuple(MergedVertex(vtype=t, members=cids) for t, cids, _ in merged),
+        options=tuple(tuple(sorted({home[j] for i in block for j in d.options[i]} - {k}))
+                      for k, (_, _, block) in enumerate(merged)))
 
 
 def _type_label(t: TypeTriple) -> str:
@@ -134,13 +149,12 @@ def to_dot(d: StructureDigraph | SimplifiedDiagram, style: str = "full") -> str:
     """Render as Graphviz source; ``plain`` style labels vertices by type only."""
     if style not in ("full", "plain"):
         raise ValueError(f"unknown style {style!r}")
+    n = len(d.vertices)
+    edges = sorted((i, j % n) for i, opts in enumerate(d.options) for j in opts)
     if isinstance(d, StructureDigraph):
-        index = {v.cid: i for i, v in enumerate(d.vertices)}
-        edges = sorted((index[a], index[b]) for a, b in d.edges)
         full = [f"I={v.carrier_order} pty={v.parity} d={v.deficiency} "
                 f"type={_type_label(v.vtype)}" for v in d.vertices]
     else:
-        edges = sorted(d.edges)
         full = [f"type={_type_label(v.vtype)} members={len(v.members)}"
                 for v in d.vertices]
     labels = (full if style == "full"

@@ -231,11 +231,11 @@ class IntersectionLattice:
 
     ``intersections[frattini_index]`` is the Frattini subgroup, the minimum
     of the family.  The element-by-maximal incidence is kept with it: bit i
-    of ``sig[x]`` says ``maximals[i]`` contains element x, and bit i of
-    ``intents[cid]`` says it contains the carrier of class ``cid``.
-    ``options[cid]`` lists the option classes of class ``cid``, sorted,
-    and ``intent_index`` maps each intent back to its class id: a class is
-    the meet of its intent's maximals, so the intent identifies it.
+    of ``sig[x]`` says ``maximals[i]`` contains element x.  A class's
+    intent has bit i set when ``maximals[i]`` contains its carrier; a class
+    is the meet of its intent's maximals, so the intent identifies it, and
+    ``intent_index`` maps each intent to its class id, in class-id order.
+    ``options[cid]`` lists the option classes of class ``cid``, sorted.
     """
 
     group: GroupTable = field(repr=False, compare=False)
@@ -243,7 +243,6 @@ class IntersectionLattice:
     frattini_index: int
     maximals: tuple[int, ...]
     sig: tuple[int, ...] = field(repr=False)
-    intents: tuple[int, ...] = field(repr=False)
     options: tuple[tuple[int, ...], ...] = field(repr=False)
     intent_index: dict[int, int] = field(repr=False, compare=False)
 
@@ -287,8 +286,8 @@ def intersection_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP)
                     for i in intents)
     return IntersectionLattice(
         group=g, intersections=tuple(carrier[i] for i in intents),
-        frattini_index=0, maximals=maxi, sig=tuple(sig), intents=tuple(intents),
-        options=options, intent_index=index)
+        frattini_index=0, maximals=maxi, sig=tuple(sig), options=options,
+        intent_index=index)
 
 
 def ceil_class(lat: IntersectionLattice, g: GroupTable, mask: int) -> int:
@@ -308,12 +307,6 @@ def class_parity(lat: IntersectionLattice, cid: int) -> int:
     if cid == TERMINAL:
         return lat.group.order & 1
     return lat.intersections[cid].bit_count() & 1
-
-
-def class_edges(lat: IntersectionLattice) -> tuple[tuple[int, int], ...]:
-    """All (class, option class) edges of the structure digraph."""
-    return tuple((cid, opt) for cid, opts in enumerate(lat.options)
-                 for opt in opts)
 
 
 @dataclass(frozen=True)

@@ -369,14 +369,6 @@ def check_even_type_table(g: GroupTable, lat: IntersectionLattice,
                        checked=checked, violations=tuple(violations))
 
 
-def _options_by_class(digraph: StructureDigraph) -> dict[int, set[int]]:
-    """The option classes of every vertex, read from the digraph's edges."""
-    opts: dict[int, set[int]] = {v.cid: set() for v in digraph.vertices}
-    for a, b in digraph.edges:
-        opts[a].add(b)
-    return opts
-
-
 def check_option_deficiency(digraph: StructureDigraph, dt: DeficiencyTable,
                             subject: str = "digraph") -> CheckReport:
     """Each class has an option one step closer to terminal and none farther.
@@ -384,25 +376,23 @@ def check_option_deficiency(digraph: StructureDigraph, dt: DeficiencyTable,
     For even classes all options are even (carriers contain the even carrier),
     so the step-closer option is itself even.
     """
-    opts = _options_by_class(digraph)
-    parity = {v.cid: v.parity for v in digraph.vertices}
     violations = []
     checked = 0
-    for v in digraph.vertices:
+    for v, opts in zip(digraph.vertices, digraph.options):
         if v.cid == TERMINAL:
-            if opts[v.cid]:
+            if opts:
                 violations.append("terminal class has outgoing edges")
             continue
         checked += 1
         m = dt.per_class[v.cid]
-        deltas = {dt.per_class[j] for j in opts[v.cid]}
+        deltas = {dt.per_class[j] for j in opts}
         if m - 1 not in deltas:
             violations.append(f"class {v.cid} at deficiency {m} has no option at {m - 1}")
         if not deltas <= {m, m - 1}:
             violations.append(
                 f"class {v.cid} at deficiency {m} has options at {sorted(deltas)}")
         if v.parity == 0:
-            odd_opts = [j for j in opts[v.cid] if parity[j] != 0]
+            odd_opts = [j for j in opts if digraph.vertices[j].parity != 0]
             if odd_opts:
                 violations.append(
                     f"even class {v.cid} has odd-carrier options {sorted(odd_opts)}")
@@ -443,11 +433,9 @@ def check_odd_case_lemmas(digraph: StructureDigraph, dt: DeficiencyTable,
     2 and 3 they have an odd option one step closer; at deficiency 1..3 they
     have an even option one step closer and no even option at the same depth.
     """
-    opts = _options_by_class(digraph)
-    by_id = {v.cid: v for v in digraph.vertices}
     violations = []
     checked = 0
-    for v in digraph.vertices:
+    for v, opts in zip(digraph.vertices, digraph.options):
         if v.cid == TERMINAL or v.parity == 0:
             continue
         checked += 1
@@ -460,7 +448,7 @@ def check_odd_case_lemmas(digraph: StructureDigraph, dt: DeficiencyTable,
             violations.append(
                 f"odd class {v.cid} at deficiency {m} has type {tuple(v.vtype)}, "
                 f"expected {expected}")
-        option_info = [(by_id[j].parity, dt.per_class[j]) for j in opts[v.cid]]
+        option_info = [(digraph.vertices[j].parity, dt.per_class[j]) for j in opts]
         if m in (2, 3) and (1, m - 1) not in option_info:
             violations.append(
                 f"odd class {v.cid} at deficiency {m} has no odd option at {m - 1}")

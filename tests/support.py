@@ -33,7 +33,8 @@ def nims(spec: str) -> ng.ClassNimTable:
 
 @lru_cache(maxsize=None)
 def edges(spec: str) -> tuple:
-    return tuple(ng.class_edges(lattice(spec)))
+    return tuple((cid, j) for cid, opts in enumerate(lattice(spec).options)
+                 for j in opts)
 
 
 @lru_cache(maxsize=None)
@@ -302,6 +303,45 @@ def reference_deficiency(lat: ng.IntersectionLattice, edges) -> ng.DeficiencyTab
     d_g = dist[lat.frattini_index]
     assert max(dist.values()) == d_g
     return ng.DeficiencyTable(per_class=dist, d_g=d_g)
+
+
+def reference_simplify(d, rng: random.Random | None = None) -> ng.SimplifiedDiagram:
+    """Merge two blocks of equal type and equal option-type profile, one
+    pair at a time (a random pair with ``rng``), until no pair qualifies:
+    the definition in ``simplify``'s docstring.  A block's profile is its
+    type with the types its members' edges reach; the edges are read from
+    ``d.edges``, and a structure digraph's class ids are mapped to vertex
+    indices through each vertex's ``cid``."""
+    if isinstance(d, ng.StructureDigraph):
+        members = [(v.cid,) for v in d.vertices]
+        index = {v.cid: i for i, v in enumerate(d.vertices)}
+    else:
+        members = [v.members for v in d.vertices]
+        index = {i: i for i in range(len(d.vertices))}
+    types = [v.vtype for v in d.vertices]
+    reach = [{types[i]} for i in range(len(types))]
+    for a, b in d.edges:
+        reach[index[a]].add(types[index[b]])
+    blocks = [[i] for i in range(len(types))]
+    while True:
+        by_key: dict = {}
+        for k, block in enumerate(blocks):
+            profile = frozenset().union(*(reach[i] for i in block))
+            by_key.setdefault((types[block[0]], profile), []).append(k)
+        pairs = [ks for ks in by_key.values() if len(ks) > 1]
+        if not pairs:
+            break
+        ks = rng.choice(pairs) if rng else pairs[0]
+        x, y = sorted(rng.sample(ks, 2)) if rng else ks[:2]
+        blocks[x] += blocks.pop(y)
+    named = sorted((types[block[0]], tuple(sorted(c for i in block for c in members[i])),
+                    block) for block in blocks)
+    home = {i: k for k, (_, _, block) in enumerate(named) for i in block}
+    edges = {(home[index[a]], home[index[b]]) for a, b in d.edges}
+    return ng.SimplifiedDiagram(
+        vertices=tuple(ng.MergedVertex(vtype=t, members=cids) for t, cids, _ in named),
+        options=tuple(tuple(sorted(b for a, b in edges if a == k and b != k))
+                      for k in range(len(named))))
 
 
 def containment(lat: ng.IntersectionLattice) -> tuple[tuple[bool, ...], ...]:

@@ -40,6 +40,41 @@ def test_digraph_odd_types_dihz3z3():
         assert tuple(v.vtype) == expected[dt.per_class[v.cid]]
 
 
+def _relabelled_digraph(spec: str) -> tuple:
+    """The lattice and digraph of a seeded relabelling of ``spec``'s table."""
+    h = support.relabelled(support.group(spec), seed=sum(map(ord, spec)))
+    r = ng.solve(h, ng.GEN, mode="structure")
+    return r.lattice, ng.build_digraph(h, r.lattice, r.classes, r.deficiency)
+
+
+@pytest.mark.parametrize("spec", ng.EXTENDED_CATALOG)
+def test_digraph_addresses_every_class_by_id(spec):
+    # vertices and options sit in class-id order with the terminal last, so
+    # a class id, TERMINAL included, indexes both; edges flatten the options
+    for lat, d in ((support.lattice(spec), support.digraph(spec)),
+                   _relabelled_digraph(spec)):
+        assert len(d.vertices) == len(d.options) == len(lat.options) + 1
+        for cid in range(len(lat.options)):
+            assert d.vertices[cid].cid == cid
+            assert d.options[cid] == lat.options[cid]
+        assert d.vertices[ng.TERMINAL].cid == ng.TERMINAL
+        assert d.options[ng.TERMINAL] == ()
+        assert d.edges == tuple((cid, j) for cid, opts in enumerate(lat.options)
+                                for j in opts), spec
+
+
+def test_simplify_matches_pairwise_merge_reference():
+    # both games' class values, and simplify's own output as input
+    for spec in ng.EXTENDED_CATALOG + ("A4", "S4"):
+        g, lat = support.group(spec), support.lattice(spec)
+        for nims in (support.nims(spec), ng.structure_nim(g, lat, ng.DNG)):
+            d = ng.build_digraph(g, lat, nims, support.deficiencies(spec))
+            s = ng.simplify(d)
+            assert s == support.reference_simplify(d), spec
+            assert s == support.reference_simplify(d, random.Random(len(spec)))
+            assert ng.simplify(s) == support.reference_simplify(s) == s, spec
+
+
 def test_simplify_dihz4():
     s = ng.simplify(support.digraph("Dih(Z4)"))
     assert len(s.vertices) == 3

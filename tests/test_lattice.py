@@ -104,12 +104,13 @@ def _heisenberg(p):
 
 
 def test_maximals_match_containment_filter():
-    # nilpotent groups take the Frattini-quotient route, the others the
-    # subgroup enumeration; both must agree with the O(S^2) filter, also
-    # on relabelled tables whose identity the parser moved to index 0
+    # non-abelian Dih(A) take the closed form, other nilpotent groups the
+    # Frattini-quotient route, and Dih(Z3)xZ4, A4 and S4 the subgroup
+    # enumeration; all must agree with the O(S^2) filter, also on relabelled
+    # tables whose identity the parser moved to index 0
     extra = ("Z2xZ2xZ2xZ2xZ2", "Dih(Z2xZ2xZ2xZ2)", "Z2xZ4xZ8", "Z3xZ3xZ3xZ3",
              "Dih(Z2xZ2xZ4)", "Dih(Z4)xZ3", "Dih(Z4)xDih(Z4)", "Dih(Z2xZ4)xZ5",
-             "Dih(Z3xZ6)", "Dih(Z3)xZ4")
+             "Dih(Z3xZ6)", "Dih(Z3)xZ4", "A4", "S4")
     groups = [support.group(spec) for spec in ng.EXTENDED_CATALOG + extra]
     groups.append(_heisenberg(3))
     nilpotent = 0
@@ -204,7 +205,7 @@ def test_containment_matrix():
     for spec in ("Dih(Z4)", "Dih(Z6)", "Dih(Z3xZ3)", "Z2xZ2xZ2", "Z12"):
         lat = support.lattice(spec)
         matrix = support.containment(lat)
-        intents = lat.intents
+        intents = tuple(lat.intent_index)
         for i in range(len(intents)):
             for j in range(len(intents)):
                 assert matrix[i][j] == (intents[i] & intents[j] == intents[j])
@@ -250,7 +251,8 @@ def test_intersections_match_mask_closure_reference():
 
 def test_deficiency_matches_bfs_reference():
     for g, lat in _reference_lattices():
-        want = support.reference_deficiency(lat, ng.class_edges(lat))
+        edges = [(cid, j) for cid, opts in enumerate(lat.options) for j in opts]
+        want = support.reference_deficiency(lat, edges)
         assert ng.deficiency_table(lat) == want, g.label
 
 
@@ -267,7 +269,10 @@ def test_elementary_abelian_2_group_of_rank_6():
 def test_carrier_lookup():
     lat = support.lattice("Dih(Z4)")
     assert lat.intersections[0] == lat.frattini_mask
-    assert [lat.intent_index[i] for i in lat.intents] == [0, 1, 2, 3]
+    assert list(lat.intent_index.values()) == [0, 1, 2, 3]
+    for intent, cid in lat.intent_index.items():
+        held = [m for i, m in enumerate(lat.maximals) if (intent >> i) & 1]
+        assert lat.intersections[cid] == functools.reduce(int.__and__, held)
 
 
 def test_ceil_examples():
