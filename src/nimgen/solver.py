@@ -5,11 +5,12 @@ whoever first makes the chosen set generate the whole group wins.  DNG is the
 avoidance game: a player forced to complete a generating set loses.  Both are
 scored by Sprague-Grundy values over the position DAG.
 
-The brute solver walks positions directly, reading only the Cayley table.
-It carries each position's generated subgroup down the search.  Each reached
-subgroup H gets its moves once, from one coset extension per double coset
-HxH, so the inner loop makes no call per move and takes the mex of a bitset.
-The memo holds the positions entered; a generating move only adds 0 to a mex.
+The brute solver reads only the Cayley table.  The game from a position P
+depends only on the state (H, k) = (<P>, |P|): each of the |H| - k moves
+inside H leads to (H, k + 1), and a move to x outside H leads to
+(<H, x>, k + 1), since <P ∪ {x}> = <H ∪ {x}>.  Each reached subgroup's joins
+come from one coset extension per double coset HxH, and the memo holds one
+value per non-generating state; a generating move only adds 0 to a mex.
 
 The structure solver evaluates either game per structure class: inside a
 class, positions of the carrier's parity and of the opposite parity each
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping
 
 from .errors import CapacityError
-from .groups import GroupSpec, GroupTable, iter_mask, subgroup_joins
+from .groups import GroupSpec, GroupTable, subgroup_joins
 from .lattice import (
     DEFAULT_ORDER_CAP,
     TERMINAL,
@@ -60,15 +61,16 @@ def mex(values: Iterable[int]) -> int:
 
 
 def brute_search(g: GroupTable, variant: Variant = GEN, *,
-                 brute_cap: int = DEFAULT_BRUTE_CAP) -> dict[int, int]:
-    """Memoized nim values for every non-generating position reachable from ∅.
+                 brute_cap: int = DEFAULT_BRUTE_CAP) -> dict[tuple[int, int], int]:
+    """Memoized nim values of every non-generating state reachable from ∅.
 
-    Generating positions are terminal, of value 0 in GEN by the rules, and
-    are not stored, so both games memoize the same key set.  A child
-    ``mask | 1 << x`` of a position generating ``h`` generates <h, x>, since
-    <P ∪ {x}> = <<P> ∪ {x}>.  Each reached subgroup gets its moves once
-    (``subgroup_joins``): the elements of h, the non-generating moves outside
-    h, never in the position, and whether a GEN-winning move exists.
+    A state (h, k) stands for every position of size k that generates the
+    subgroup mask h; they all share one value, because the game from a
+    position P depends only on <P> and |P|.  The value of (h, k) is the mex
+    of (h, k + 1) when k < |h|, of (j, k + 1) for each proper join j of h
+    (``subgroup_joins``), and of 0 in GEN when h has a generating join.
+    Generating states are terminal and not stored, so both games memoize the
+    same keys; the empty position is the state (1, 0).
     """
     _check_game(g, variant)
     if g.order > brute_cap:
@@ -77,52 +79,39 @@ def brute_search(g: GroupTable, variant: Variant = GEN, *,
     full = g.full_mask
     gen = variant == GEN
     joins = subgroup_joins(g)
-    # subgroup -> (bits of h, (bit, join) outside h, has a GEN-winning move)
-    moves: dict[int, tuple[list[int], list[tuple[int, int]], bool]] = {}
-    memo: dict[int, int] = {}
+    memo: dict[tuple[int, int], int] = {}
 
-    # ``h`` is the subgroup that ``mask`` generates, so ``mask`` lies in h.
-    # The search never enters a generating position: the root is the empty
-    # set, and a child is entered only when its join is a proper subgroup.
-    def nim(mask: int, h: int) -> int:
-        m = moves.get(h)
-        if m is None:
-            js = joins(h)
-            m = moves[h] = (
-                [1 << x for x in iter_mask(h)],
-                [(1 << x, j) for j, xs in js.items() if j != full
-                 for x in iter_mask(xs)],
-                gen and full in js)
-        inside, outside, wins = m
+    # Each call adds one element, and a proper subgroup has at most |G|/2,
+    # so the recursion is at most |G|/2 + 2 deep.
+    def nim(h: int, k: int) -> int:
         seen = 0
-        for bit in inside:
-            if not mask & bit:
-                child = mask | bit
-                v = memo.get(child)
-                if v is None:
-                    v = nim(child, h)
-                seen |= 1 << v
-        for bit, j in outside:
-            child = mask | bit
-            v = memo.get(child)
+        if k < h.bit_count():
+            v = memo.get((h, k + 1))
             if v is None:
-                v = nim(child, j)
+                v = nim(h, k + 1)
             seen |= 1 << v
-        # A generating move ends GEN with value 0; DNG forbids it.
-        if wins:
-            seen |= 1
+        for j in joins(h):
+            if j == full:
+                # A generating move ends GEN with value 0; DNG forbids it.
+                if gen:
+                    seen |= 1
+                continue
+            v = memo.get((j, k + 1))
+            if v is None:
+                v = nim(j, k + 1)
+            seen |= 1 << v
         v = (~seen & (seen + 1)).bit_length() - 1  # mex: lowest clear bit
-        memo[mask] = v
+        memo[h, k] = v
         return v
 
-    nim(0, 1)
+    nim(1, 0)
     return memo
 
 
 def brute_nim(g: GroupTable, variant: Variant = GEN, *,
               brute_cap: int = DEFAULT_BRUTE_CAP) -> int:
     """Nim value of the game from the empty position, by exhaustive search."""
-    return brute_search(g, variant, brute_cap=brute_cap)[0]
+    return brute_search(g, variant, brute_cap=brute_cap)[1, 0]
 
 
 @dataclass(frozen=True)

@@ -380,8 +380,6 @@ def check_option_deficiency(digraph: StructureDigraph, dt: DeficiencyTable,
     checked = 0
     for v, opts in zip(digraph.vertices, digraph.options):
         if v.cid == TERMINAL:
-            if opts:
-                violations.append("terminal class has outgoing edges")
             continue
         checked += 1
         m = dt.per_class[v.cid]

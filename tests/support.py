@@ -50,7 +50,28 @@ def digraph(spec: str) -> ng.StructureDigraph:
 
 @lru_cache(maxsize=None)
 def brute_memo(spec: str, variant: str = ng.GEN) -> dict:
-    return ng.brute_search(group(spec), variant)
+    """Nim value of every non-generating position P, read from the state
+    memo of ``brute_search`` at (<P>, |P|).  <P> is <P minus its top
+    element> joined with that element, one ``reference_closure`` per
+    distinct join."""
+    g = group(spec)
+    states = ng.brute_search(g, variant)
+    full = g.full_mask
+    span = [1] * (1 << g.order)  # span[P] = <P>
+    joined: dict[int, int] = {}
+    memo = {0: states[1, 0]}
+    for mask in range(1, 1 << g.order):
+        top = 1 << (mask.bit_length() - 1)
+        h = span[mask ^ top]
+        if h != full and not h & top:
+            seed = h | top
+            if seed not in joined:
+                joined[seed] = reference_closure(g, seed)
+            h = joined[seed]
+        span[mask] = h
+        if h != full:
+            memo[mask] = states[h, mask.bit_count()]
+    return memo
 
 
 def refuse_builds_over(monkeypatch, limit: int) -> None:

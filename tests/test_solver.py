@@ -32,18 +32,16 @@ def test_within_class_move_keeps_the_carrier_value(a, b):
 
 
 def test_brute_gen_z2():
-    # nim(∅)=mex{nim{e}=1, nim{g}=0}=2, worked by hand
-    memo = support.brute_memo("Z2", ng.GEN)
-    assert memo[0] == 2
-    assert memo[0b01] == 1
-    assert 0b10 not in memo  # {g} generates Z2: terminal, not memoized
+    # nim(∅)=mex{nim{e}=1, nim{g}=0}=2, worked by hand; the states are
+    # (subgroup mask, size), and ∅ and {e} both generate the trivial subgroup
+    memo = ng.brute_search(support.group("Z2"), ng.GEN)
+    assert memo == {(0b01, 0): 2, (0b01, 1): 1}  # {g} generates Z2: not memoized
     assert ng.brute_nim(support.group("Z2"), ng.GEN) == 2
 
 
 def test_brute_dng_z2():
-    memo = support.brute_memo("Z2", ng.DNG)
-    assert memo[0b01] == 0
-    assert memo[0] == 1
+    memo = ng.brute_search(support.group("Z2"), ng.DNG)
+    assert memo == {(0b01, 0): 1, (0b01, 1): 0}
 
 
 def test_brute_known_values():
@@ -67,31 +65,25 @@ def test_brute_caps():
     ("Dih(Z2xZ4)", 9),  # a seeded relabelling read back from a table
 ])
 def test_brute_search_matches_reference(spec, seed, variant):
-    # The reference also stores the generating positions GEN reaches; the
-    # search stores only non-generating ones, the same keys in both games.
+    # The reference memoizes positions, the generating ones GEN reaches
+    # included; the search memoizes non-generating states (<P>, |P|), the
+    # same keys in both games, and none that no position reaches.
     g = support.group(spec)
     if seed is not None:
         g = support.relabelled(g, seed)
     memo = ng.brute_search(g, variant)
-    ref = support.reference_brute_search(g, variant)
-    proper = {m: v for m, v in ref.items()
-              if support.reference_closure(g, m) != g.full_mask}
-    assert memo == proper
-    assert all(v == 0 for m, v in ref.items() if m not in proper)
+    reached = set()
+    for mask, v in support.reference_brute_search(g, variant).items():
+        h = support.reference_closure(g, mask)
+        if h == g.full_mask:
+            assert v == 0
+            continue
+        state = (h, mask.bit_count())
+        assert memo[state] == v, (mask, state)
+        reached.add(state)
+    assert memo.keys() == reached
     if variant == ng.GEN:
         assert memo.keys() == ng.brute_search(g, ng.DNG).keys()
-
-
-@pytest.mark.parametrize("variant", [ng.GEN, ng.DNG])
-def test_brute_matches_structure_above_brute_cap(variant):
-    # Every extended-catalog group of order 2..26, up to Dih(Z2xZ6), whose
-    # GEN search memoizes 28,392 positions.
-    specs = [s for s in ng.EXTENDED_CATALOG if 2 <= support.group(s).order <= 26]
-    assert {"Dih(Z12)", "Dih(Z3xZ3)", "Dih(Z2xZ6)"} <= set(specs)
-    for spec in specs:
-        g = support.group(spec)
-        assert ng.brute_nim(g, variant, brute_cap=g.order) == \
-            ng.structure_nim(g, support.lattice(spec), variant).game_nim, spec
 
 
 @pytest.mark.parametrize("variant", [ng.GEN, ng.DNG])
@@ -102,6 +94,26 @@ def test_brute_matches_structure_on_permutation_groups(variant):
         nim = ng.structure_nim(g, ng.intersection_subgroups(g), variant).game_nim
         assert nim == want, g.label
         assert ng.brute_nim(g, variant, brute_cap=24) == nim, g.label
+
+
+@pytest.mark.parametrize("variant", [ng.GEN, ng.DNG])
+def test_brute_states_match_structure_classes(variant):
+    # Every state (H, k) is the position cell (class of H, parity of k) of
+    # the structure solver: the whole brute table against the class table,
+    # on every extended-catalog group (orders up to 54), the permutation
+    # groups A4, S4 and A5, and one seeded relabelling of each.
+    groups = [support.group(s) for s in (*ng.EXTENDED_CATALOG, "A4", "S4", "A5")]
+    groups += [support.relabelled(g, seed) for seed, g in enumerate(groups)]
+    cells = 0
+    for g in groups:
+        lat = ng.intersection_subgroups(g)
+        nims = ng.structure_nim(g, lat, variant)
+        memo = ng.brute_search(g, variant, brute_cap=g.order)
+        assert memo[1, 0] == nims.game_nim, g.label
+        for (h, k), v in memo.items():
+            assert nims.per_class[ng.ceil_class(lat, g, h)][k & 1] == v, (g.label, h, k)
+        cells += len(memo)
+    assert cells == 8178
 
 
 @pytest.mark.parametrize("variant", [ng.GEN, ng.DNG])
@@ -128,8 +140,8 @@ def test_brute_search_closes_each_join_once(variant, monkeypatch):
             bound += 1
     assert bound == 104
     monkeypatch.setattr(nimgen.groups, "extend_subgroup", counting)
-    # the 8,218 non-generating positions, the same keys in either game
-    assert len(ng.brute_search(g, variant, brute_cap=g.order)) == 8218
+    # the 41 non-generating states, the same keys in either game
+    assert len(ng.brute_search(g, variant, brute_cap=g.order)) == 41
     assert 0 < len(calls) <= bound
 
 
