@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import gcd
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import NonAbelianError, SpecParseError, TableFormatError
 
@@ -197,34 +197,35 @@ def double_coset(g: GroupTable, elems: list[int], x: int) -> int:
     return coset
 
 
-def subgroup_joins(g: GroupTable) -> Callable[[int], dict[int, int]]:
-    """``joins(h)``: each subgroup <h, x> for x outside subgroup ``h``, mapped
-    to the mask of the elements x that give it.
+def subgroup_walk(g: GroupTable) -> list[tuple[int, int, set[int]]]:
+    """Every subgroup H of G as (mask, d(H), joins), largest first: d(H) is
+    the fewest elements that generate H, and the joins are the subgroups
+    <H, x> for x outside H.
 
-    <H, x> = <H, y> for every y in the double coset HxH, so each double coset
-    costs one ``extend_subgroup`` of H's elements and generating tuple: those
-    of the first join that found H, else those ``span`` builds from h.
-    Memoized per ``h``.
+    One breadth-first walk from the trivial subgroup.  <H, x> = <H, y> for
+    every y in the double coset HxH, so each double coset costs one
+    ``extend_subgroup`` of the elements and generating tuple H was found
+    with.  A chain of joins is a generating tuple and an irredundant
+    generating tuple is a chain of joins, so the walk reaches every subgroup
+    and H's depth is d(H).
     """
-    memo: dict[int, dict[int, int]] = {}
-    found: dict[int, tuple[list[int], tuple[int, ...]]] = {1: ([0], ())}
-
-    def joins(h: int) -> dict[int, int]:
-        out = memo.get(h)
-        if out is None:
-            out = memo[h] = {}
-            elems, gens = found[h] if h in found else span(g, h)[1:]
-            rest = g.full_mask & ~h
-            while rest:
-                x = (rest & -rest).bit_length() - 1
-                coset = double_coset(g, elems, x)
-                k, k_elems, k_gens = extend_subgroup(g, h, elems, gens, x)
-                found.setdefault(k, (k_elems, k_gens))
-                out[k] = out.get(k, 0) | coset
-                rest &= ~coset
-        return out
-
-    return joins
+    full = g.full_mask
+    depth = {1: 0}
+    joins: dict[int, set[int]] = {}
+    queue: list[tuple[int, list[int], tuple[int, ...]]] = [(1, [0], ())]
+    for h, elems, gens in queue:
+        out = joins[h] = set()
+        rest = full & ~h
+        while rest:
+            x = (rest & -rest).bit_length() - 1
+            k, k_elems, k_gens = extend_subgroup(g, h, elems, gens, x)
+            if k not in depth:
+                depth[k] = depth[h] + 1
+                queue.append((k, k_elems, k_gens))
+            out.add(k)
+            rest &= ~double_coset(g, elems, x)
+    return [(h, depth[h], joins[h])
+            for h in sorted(depth, key=int.bit_count, reverse=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +310,11 @@ class _SpecParser:
                 self.pos += 1
             if self.pos == start:
                 self.fail("expected digits after 'Z'")
-            n = int(text[start:self.pos])
+            try:
+                n = int(text[start:self.pos])
+            except ValueError:  # over sys.get_int_max_str_digits()
+                self.pos = start
+                self.fail("cyclic group order has too many digits")
             if n < 1:
                 self.pos = start
                 self.fail("cyclic group order must be at least 1")

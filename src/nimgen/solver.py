@@ -8,9 +8,11 @@ scored by Sprague-Grundy values over the position DAG.
 The brute solver reads only the Cayley table.  The game from a position P
 depends only on the state (H, k) = (<P>, |P|): each of the |H| - k moves
 inside H leads to (H, k + 1), and a move to x outside H leads to
-(<H, x>, k + 1), since <P ∪ {x}> = <H ∪ {x}>.  Each reached subgroup's joins
-come from one coset extension per double coset HxH, and the memo holds one
-value per non-generating state; a generating move only adds 0 to a mex.
+(<H, x>, k + 1), since <P ∪ {x}> = <H ∪ {x}>.  One walk of the subgroups
+(``groups.subgroup_walk``) gives each subgroup's joins and d(H), the least
+size of a position generating H, and a loop from the largest subgroup down
+fills one value per non-generating state; a generating move only adds 0 to
+a mex.
 
 The structure solver evaluates either game per structure class: inside a
 class, positions of the carrier's parity and of the opposite parity each
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping
 
 from .errors import CapacityError
-from .groups import GroupSpec, GroupTable, subgroup_joins
+from .groups import GroupSpec, GroupTable, subgroup_walk
 from .lattice import (
     DEFAULT_ORDER_CAP,
     TERMINAL,
@@ -62,14 +64,16 @@ def mex(values: Iterable[int]) -> int:
 
 def brute_search(g: GroupTable, variant: Variant = GEN, *,
                  brute_cap: int = DEFAULT_BRUTE_CAP) -> dict[tuple[int, int], int]:
-    """Memoized nim values of every non-generating state reachable from ∅.
+    """Nim values of every non-generating state reachable from ∅.
 
     A state (h, k) stands for every position of size k that generates the
     subgroup mask h; they all share one value, because the game from a
-    position P depends only on <P> and |P|.  The value of (h, k) is the mex
-    of (h, k + 1) when k < |h|, of (j, k + 1) for each proper join j of h
-    (``subgroup_joins``), and of 0 in GEN when h has a generating join.
-    Generating states are terminal and not stored, so both games memoize the
+    position P depends only on <P> and |P|.  The reachable states of h are
+    d(h) <= k <= |h|.  The value of (h, k) is the mex of (h, k + 1) when
+    k < |h|, of (j, k + 1) for each proper join j of h, and of 0 in GEN when
+    h has a generating join; ``subgroup_walk`` yields every h after its
+    joins, so k runs down from |h| and each of those values is already set.
+    Generating states are terminal and not stored, so both games hold the
     same keys; the empty position is the state (1, 0).
     """
     _check_game(g, variant)
@@ -78,33 +82,19 @@ def brute_search(g: GroupTable, variant: Variant = GEN, *,
             f"brute-force search capped at order {brute_cap}, group has order {g.order}")
     full = g.full_mask
     gen = variant == GEN
-    joins = subgroup_joins(g)
     memo: dict[tuple[int, int], int] = {}
-
-    # Each call adds one element, and a proper subgroup has at most |G|/2,
-    # so the recursion is at most |G|/2 + 2 deep.
-    def nim(h: int, k: int) -> int:
-        seen = 0
-        if k < h.bit_count():
-            v = memo.get((h, k + 1))
-            if v is None:
-                v = nim(h, k + 1)
-            seen |= 1 << v
-        for j in joins(h):
-            if j == full:
-                # A generating move ends GEN with value 0; DNG forbids it.
-                if gen:
-                    seen |= 1
-                continue
-            v = memo.get((j, k + 1))
-            if v is None:
-                v = nim(j, k + 1)
-            seen |= 1 << v
-        v = (~seen & (seen + 1)).bit_length() - 1  # mex: lowest clear bit
-        memo[h, k] = v
-        return v
-
-    nim(1, 0)
+    for h, d, joins in subgroup_walk(g):
+        if h == full:
+            continue
+        # A generating move ends GEN with value 0; DNG forbids it.
+        base = 1 if gen and full in joins else 0
+        proper = [j for j in joins if j != full]
+        size = h.bit_count()
+        for k in range(size, d - 1, -1):
+            seen = base if k == size else base | 1 << memo[h, k + 1]
+            for j in proper:
+                seen |= 1 << memo[j, k + 1]
+            memo[h, k] = (~seen & (seen + 1)).bit_length() - 1  # lowest clear bit
     return memo
 
 

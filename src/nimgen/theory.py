@@ -30,7 +30,7 @@ from .groups import (
     parse_group_spec,
     prime_factors,
     spec_order,
-    subgroup_joins,
+    subgroup_walk,
 )
 from .lattice import (
     DEFAULT_ORDER_CAP,
@@ -53,24 +53,13 @@ from .solver import DNG, GEN, SolveResult, Variant, solve
 def _subgroup_deficiencies(g: GroupTable) -> dict[int, int]:
     """Deficiency of every subgroup: fewest extra elements that generate G.
 
-    From the trivial subgroup, each subgroup H found is joined with every
-    element outside it: one Dimino coset extension of H's generating tuple
-    per double coset HxH (``subgroup_joins``).  The chain <x_1>, <x_1, x_2>,
-    ... of any generating tuple reaches every subgroup.
-    A join is larger than H, so one pass from the largest subgroup down sets
-    delta(G) = 0 and delta(H) = 1 + the least delta of its joins.
+    ``subgroup_walk`` yields every subgroup after its joins, each larger
+    than it, so one fold sets delta(G) = 0 and delta(H) = 1 + the least
+    delta of its joins.
     """
-    joins = subgroup_joins(g)
-    found = {1}
-    frontier = [1]
-    while frontier:
-        for k in joins(frontier.pop()):
-            if k not in found:
-                found.add(k)
-                frontier.append(k)
-    delta = {g.full_mask: 0}
-    for h in sorted(found, key=int.bit_count, reverse=True)[1:]:
-        delta[h] = 1 + min(delta[k] for k in joins(h))
+    delta: dict[int, int] = {}
+    for h, _, joins in subgroup_walk(g):
+        delta[h] = 1 + min(map(delta.__getitem__, joins), default=-1)
     return delta
 
 

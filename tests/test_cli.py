@@ -536,3 +536,10 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
 
+
+@pytest.mark.parametrize("command", ["solve", "verify", "diagram"])
+def test_long_digit_run_is_a_spec_error(capsys, command):
+    # more digits than int() converts by default
+    code, out, err = run(capsys, command, "Z" + "9" * 5000)
+    assert code == 2
+    assert "cyclic group order has too many digits (at position 1)" in out + err

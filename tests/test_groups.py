@@ -5,8 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nimgen as ng
-from nimgen.groups import (Cyclic, Dih, Product, extend_subgroup, span,
-                           spec_order, subgroup_joins)
+from nimgen.groups import (Cyclic, Dih, Product, extend_subgroup, span, spec_order,
+                           subgroup_walk)
 
 import support
 
@@ -160,39 +160,53 @@ def test_span_matches_reference_closure():
         assert got[:2] == (g.full_mask, list(range(n))), g.label
 
 
-def check_joins(g, subgroups):
-    """``joins(h)`` for each subgroup h, in the given order, against
-    ``support.reference_closure``."""
-    joins = subgroup_joins(g)
-    for h in subgroups:
-        got = joins(h)
-        assert joins(h) is got  # memoized per subgroup
-        covered = 0
-        for k, xs in got.items():
-            assert xs and not xs & (covered | h)  # the masks partition G \ h
-            covered |= xs
-            for x in ng.iter_mask(xs):
-                assert support.reference_closure(g, h | (1 << x)) == k
-        assert covered == g.full_mask & ~h
+def check_joins(g):
+    """``subgroup_walk`` against a breadth-first walk over
+    ``support.reference_closure`` and against ``all_subgroups``."""
+    walk = subgroup_walk(g)
+    sizes = [h.bit_count() for h, _, _ in walk]
+    assert sizes == sorted(sizes, reverse=True)  # largest first
+    assert sorted(h for h, _, _ in walk) == sorted(ng.all_subgroups(g))
+    ref_joins = {h: {support.reference_closure(g, h | 1 << x)
+                     for x in ng.iter_mask(g.full_mask & ~h)}
+                 for h, _, _ in walk}
+    ref_depth, frontier = {1: 0}, [1]
+    for h in frontier:
+        for k in ref_joins[h]:
+            if k not in ref_depth:
+                ref_depth[k] = ref_depth[h] + 1
+                frontier.append(k)
+    for h, d, joins in walk:
+        assert joins == ref_joins[h], (g.label, h)
+        assert d == ref_depth[h], (g.label, h)
+    assert walk[0][:2] == (g.full_mask, ng.deficiency_table(
+        ng.intersection_subgroups(g)).d_g)
 
 
 # A4 and S4 have non-normal subgroups whose double cosets HxH span several
 # left cosets xH.
 @pytest.mark.parametrize("spec", ["Z12", "Dih(Z6)", "Z2xZ2xZ2", "A4", "S4"])
 def test_subgroup_joins_match_closures(spec):
-    g = support.group(spec)
-    check_joins(g, ng.all_subgroups(g))
+    check_joins(support.group(spec))
 
 
-# Taken largest first, most subgroups are asked for before any join reaches
-# them, so they get a greedy generating tuple.
+# The walk starts from the trivial subgroup alone, so no subgroup is left to
+# a greedy generating tuple: each one is a join of a subgroup one level below
+# it, and d(H) is never more than the tuple ``span`` builds for H.
 @pytest.mark.parametrize("spec, seed", [("A4", None), ("S4", None),
                                         ("Dih(Z3xZ6)", 3)])
 def test_subgroup_joins_of_unreached_subgroups(spec, seed):
     g = support.group(spec)
     if seed is not None:
         g = support.relabelled(g, seed)
-    check_joins(g, reversed(ng.all_subgroups(g)))
+    check_joins(g)
+    walk = subgroup_walk(g)
+    depth = {h: d for h, d, _ in walk}
+    reached = {1} | {k for h, d, joins in walk for k in joins
+                     if depth[k] == d + 1}
+    assert reached == set(ng.all_subgroups(g))
+    for h, d, _ in walk:
+        assert d <= len(span(g, h)[2]), (g.label, h)
 
 
 def test_parse_simple_specs():
@@ -207,6 +221,16 @@ def test_parse_rejects_malformed(bad):
     with pytest.raises(ng.SpecParseError) as exc:
         ng.parse_group_spec(bad)
     assert exc.value.position >= 0
+
+
+@pytest.mark.parametrize("spec, position", [("Z{}", 1), ("Dih(Z2xZ{})", 8)])
+def test_parse_rejects_long_digit_run(spec, position):
+    # more digits than int() converts by default
+    with pytest.raises(ng.SpecParseError) as exc:
+        ng.parse_group_spec(spec.format("9" * 5000))
+    assert exc.value.position == position
+    assert str(exc.value) == (
+        f"cyclic group order has too many digits (at position {position})")
 
 
 def test_spec_order_is_the_built_order():
