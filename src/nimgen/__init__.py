@@ -55,7 +55,6 @@ from .lattice import (
     DEFAULT_ORDER_CAP,
     TERMINAL,
     IntersectionLattice,
-    all_subgroups,
     ceil_class,
     DeficiencyTable,
     class_parity,
@@ -113,7 +112,7 @@ __all__ = [
     "parse_table_text", "to_table_text", "is_abelian", "is_nilpotent",
     "element_order", "mask_of", "iter_mask", "generated_subgroup",
     # lattice
-    "TERMINAL", "DEFAULT_ORDER_CAP", "IntersectionLattice", "all_subgroups",
+    "TERMINAL", "DEFAULT_ORDER_CAP", "IntersectionLattice",
     "maximal_subgroups", "intersection_subgroups", "ceil_class",
     "class_parity", "DeficiencyTable", "deficiency_table",
     # solver

@@ -2,7 +2,7 @@
 
 The maximal subgroups come by one of three routes: a closed form for a
 non-abelian Dih(A), the Frattini quotients of a nilpotent group, and for
-any other group the enumeration of every subgroup.
+any other group the walk over every subgroup and its joins.
 
 A position of the generation game sits inside a unique smallest intersection
 of maximal subgroups (or generates the whole group).  That intersection is
@@ -20,9 +20,9 @@ from itertools import product
 from typing import Mapping, Sequence
 
 from .errors import CapacityError
-from .groups import (GroupSpec, GroupTable, build_group, double_coset, extend_subgroup,
-                     generated_subgroup, is_nilpotent, iter_mask, mask_of,
-                     parse_group_spec, prime_factors, span, spec_order)
+from .groups import (GroupSpec, GroupTable, build_group, generated_subgroup,
+                     is_nilpotent, iter_mask, mask_of, parse_group_spec,
+                     prime_factors, span, spec_order, subgroup_walk)
 
 TERMINAL = -1  # class id of the terminal class (the whole group)
 
@@ -51,68 +51,6 @@ def build_capped(spec: GroupSpec | str, order_cap: int) -> GroupTable:
     if order >= 2:
         check_order_cap(order, order_cap, exact)
     return build_group(spec)
-
-
-def all_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> tuple[int, ...]:
-    """Masks of every subgroup, sorted by size, then by mask.
-
-    Neubüser's cyclic extension, run up to conjugacy (Holt-Eick-O'Brien,
-    Handbook of Computational Group Theory, on subgroup lattices).  Every
-    subgroup is generated by its elements of prime-power order, so each
-    representative H, from the trivial subgroup on, is joined with one
-    generator c of every cyclic subgroup of prime-power order.  A join K
-    not seen before enters ``seen`` with all its conjugates, the orbit of
-    K under conjugation by a greedy generating set of G, and only K itself
-    is expanded; a join already seen is not.
-
-    This reaches every subgroup.  Take L = <c_1..c_m> with each c_i of
-    prime-power order, and the chain L_i = <c_1..c_i>.  Suppose L_i^g is
-    an expanded representative R.  Then L_{i+1}^g = <R, c_{i+1}^g>, and
-    c_{i+1}^g generates the same cyclic subgroup as one of the chosen
-    generators, so that join is made: L_{i+1}^g is a new representative
-    or a conjugate of one.  By induction from L_0 = 1, L is in ``seen``.
-
-    <H, c'> = <H, c> for every c' in the double coset HcH, so after each
-    join HcH is marked done for H and its generators are not joined again.
-    Each join is closed by Dimino's coset extension (``extend_subgroup``)
-    of the generating tuple H was found with, and the greedy generating set
-    is the one ``span`` closes G with.
-    """
-    check_order_cap(g.order, order_cap)
-    n, mul, inv, full = g.order, g.mul, g.inv, g.full_mask
-    cyclic: dict[int, int] = {}  # mask of <x> of prime-power order -> x
-    for x in range(1, n):
-        m, y = 1, x
-        while y:
-            m |= 1 << y
-            y = mul[y][x]
-        if len(prime_factors(m.bit_count())) == 1:
-            cyclic.setdefault(m, x)
-    # z -> s^-1·z·s, for each s of a greedy generating set
-    conj = [tuple(mul[mul[inv[s]][z]][s] for z in range(n)) for s in span(g, full)[2]]
-    seen = {1, full}
-    frontier = [(1, [0], ())]  # (mask, elements, generating tuple)
-    while frontier:
-        h, elems, gens = frontier.pop()
-        done = h
-        for c in cyclic.values():
-            if (done >> c) & 1:
-                continue
-            k, k_elems, k_gens = extend_subgroup(g, h, elems, gens, c)
-            done |= double_coset(g, elems, c)
-            if k in seen:
-                continue
-            seen.add(k)
-            frontier.append((k, k_elems, k_gens))
-            orbit = [k_elems]
-            for members in orbit:
-                for perm in conj:
-                    image = [perm[z] for z in members]
-                    m = mask_of(image)
-                    if m not in seen:
-                        seen.add(m)
-                        orbit.append(image)
-    return _by_size(seen)
 
 
 def _nilpotent_maximals(g: GroupTable, elems: Sequence[int]) -> list[int]:
@@ -197,9 +135,9 @@ def maximal_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> t
     Three routes, with no subgroup enumeration for the first two.  A
     non-abelian Dih(A), recognized on the table, takes A and the maximals
     of A with their cosets through t (``_dih_maximals``).  Nilpotent groups
-    read them off their Frattini quotients.  Other groups enumerate every
-    subgroup and keep, from the largest proper one down, each that lies in
-    no maximal kept so far: O(subgroups x maximals).
+    read them off their Frattini quotients.  Other groups walk every
+    subgroup with its joins (``subgroup_walk``): a proper subgroup is
+    maximal exactly when its only join is G.
     """
     if g.order < 2:
         raise ValueError("the trivial group has no maximal subgroups")
@@ -208,11 +146,7 @@ def maximal_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> t
         return _by_size(dih)
     if is_nilpotent(g):
         return _by_size(_nilpotent_maximals(g, range(g.order)))
-    maxi: list[int] = []
-    for m in reversed(all_subgroups(g, order_cap=order_cap)[:-1]):
-        if not any(m | k == k for k in maxi):
-            maxi.append(m)
-    return _by_size(maxi)
+    return _by_size(h for h, _, joins in subgroup_walk(g) if joins == {g.full_mask})
 
 
 def _and_over(values: tuple[int, ...], bits: int, acc: int) -> int:

@@ -10,7 +10,8 @@ from collections import deque
 from functools import lru_cache
 
 import nimgen as ng
-from nimgen.groups import Cyclic, Dih, Product
+from nimgen.groups import Cyclic, Dih, Product, subgroup_walk
+from nimgen.lattice import _dih_maximals
 
 
 @lru_cache(maxsize=None)
@@ -240,11 +241,11 @@ def reference_group(spec) -> ng.GroupTable:
 
 
 def reference_subgroups(g: ng.GroupTable) -> tuple[int, ...]:
-    """Every subgroup mask, sorted like ``all_subgroups``, by join closure.
+    """Every subgroup mask, sorted by size, then by mask, by join closure.
 
     Joins each subgroup found with every element outside it, one
     ``reference_closure`` call each: O(|K|^2) per join, kept as the
-    reference that the coset closure of ``all_subgroups`` must match.
+    reference that the coset closure of ``subgroup_walk`` must match.
     """
     seen = {1}
     frontier = [1]
@@ -259,10 +260,22 @@ def reference_subgroups(g: ng.GroupTable) -> tuple[int, ...]:
     return tuple(sorted(seen, key=lambda m: (m.bit_count(), m)))
 
 
+def walk_subgroups(g: ng.GroupTable) -> tuple[int, ...]:
+    """Every subgroup mask that ``subgroup_walk`` reaches, sorted like
+    ``reference_subgroups``."""
+    return tuple(sorted((h for h, _, _ in subgroup_walk(g)),
+                        key=lambda m: (m.bit_count(), m)))
+
+
 def reference_maximals(g: ng.GroupTable) -> tuple[int, ...]:
     """Maximal subgroups by the O(S^2) containment filter over every
-    subgroup: the reference for every route of ``maximal_subgroups``."""
-    proper = [m for m in ng.all_subgroups(g) if m != g.full_mask]
+    subgroup: the reference for every route of ``maximal_subgroups``.
+
+    The subgroups come from ``subgroup_walk``, which reads none of their
+    containments; ``test_subgroups_match_join_closure_reference`` and
+    ``test_permutation_group_subgroups`` pin its subgroup set to
+    ``reference_subgroups``, too slow to feed this filter in every test."""
+    proper = walk_subgroups(g)[:-1]
     return tuple(m for m in proper
                  if not any(m != k and m | k == k for k in proper))
 
@@ -412,6 +425,7 @@ PERMUTATION_GROUPS = {
     "A4": ((1, 2, 0, 3), (1, 0, 3, 2)),        # (0 1 2), (0 1)(2 3)
     "S4": ((1, 2, 3, 0), (1, 0, 2, 3)),        # (0 1 2 3), (0 1)
     "A5": ((1, 2, 3, 4, 0), (1, 2, 0, 3, 4)),  # (0 1 2 3 4), (0 1 2)
+    "S5": ((1, 2, 3, 4, 0), (1, 0, 2, 3, 4)),  # (0 1 2 3 4), (0 1)
 }
 
 
@@ -435,3 +449,21 @@ def permutation_table(gens, label: str = "") -> ng.GroupTable:
 def small_orders(limit: int):
     """Catalog entries whose group order is at most ``limit``."""
     return [s for s in ng.SMALL_CATALOG if group(s).order <= limit]
+
+
+def product_catalog(order_cap: int):
+    """Specs Dih(A)xB, with B abelian of order at least 2, and Dih(A)xDih(B),
+    over unordered pairs with |A|, |B| at least 2, of order at most
+    ``order_cap``, that reach the general route of ``maximal_subgroups``:
+    neither a non-abelian Dih(A) nor nilpotent.  A and B run over
+    ``abelian_groups``; there are 266 such specs at order cap 200."""
+    parts = [a for n in range(1, order_cap // 2 + 1) for a in ng.abelian_groups(n)]
+    specs = [f"Dih({a.spec_string})x{b.spec_string}" for a in parts for b in parts
+             if b.order >= 2 and 2 * a.order * b.order <= order_cap]
+    specs += [f"Dih({a.spec_string})xDih({b.spec_string})"
+              for i, a in enumerate(parts) for b in parts[i:]
+              if a.order >= 2 and b.order >= 2 and 4 * a.order * b.order <= order_cap]
+    for spec in specs:
+        g = ng.build_group(spec)
+        if _dih_maximals(g) is None and not ng.is_nilpotent(g):
+            yield spec

@@ -5,6 +5,7 @@ import pytest
 
 import nimgen as ng
 from nimgen import lattice
+from nimgen.groups import subgroup_walk
 
 import support
 
@@ -14,15 +15,15 @@ def _divisors(n):
 
 
 def test_cyclic_subgroup_counts():
-    assert len(ng.all_subgroups(support.group("Z4"))) == 3
+    assert len(subgroup_walk(support.group("Z4"))) == 3
     # one subgroup per divisor of 12
-    assert len(ng.all_subgroups(support.group("Z12"))) == 6
+    assert len(subgroup_walk(support.group("Z12"))) == 6
 
 
 def test_dihedral_subgroup_count():
     # Dih(Z_n) has one cyclic subgroup per divisor d of n and n/d dihedral
     # ones per divisor d: tau(n) + sigma(n) in all
-    counts = {n: len(ng.all_subgroups(ng.build_group(f"Dih(Z{n})")))
+    counts = {n: len(subgroup_walk(ng.build_group(f"Dih(Z{n})")))
               for n in [*range(1, 61), 99]}
     for n, count in counts.items():
         divisors = _divisors(n)
@@ -41,17 +42,17 @@ def test_subgroups_match_join_closure_reference():
     groups += [support.relabelled(support.group(spec), seed)
                for spec in ("Dih(Z15)", "Dih(Z3xZ6)") for seed in (1, 2)]
     for g in groups:
-        assert ng.all_subgroups(g) == support.reference_subgroups(g), g.label
+        assert support.walk_subgroups(g) == support.reference_subgroups(g), g.label
 
 
 @pytest.mark.parametrize("name,order,subgroups,maximals", [
     ("A4", 12, 10, 5), ("S4", 24, 30, 8), ("A5", 60, 59, 21)])
 def test_permutation_group_subgroups(name, order, subgroups, maximals):
-    # A5 is not soluble: enumeration up to conjugacy needs no solubility
+    # A5 is not soluble: the walk needs no solubility
     g = support.permutation_table(support.PERMUTATION_GROUPS[name], name)
     assert g.order == order
     assert not ng.is_nilpotent(g)
-    subs = ng.all_subgroups(g)
+    subs = support.walk_subgroups(g)
     assert len(subs) == subgroups
     assert subs == support.reference_subgroups(g)
     maxi = ng.maximal_subgroups(g)
@@ -59,21 +60,31 @@ def test_permutation_group_subgroups(name, order, subgroups, maximals):
     assert maxi == support.reference_maximals(g)
 
 
+def test_s5_general_route():
+    # reference_subgroups takes seconds on S5, so its 156 subgroups are
+    # counted on the walk alone
+    g = support.group("S5")
+    assert g.order == 120
+    assert len(subgroup_walk(g)) == 156
+    maxi = ng.maximal_subgroups(g)
+    assert len(maxi) == 22
+    assert maxi == support.reference_maximals(g)
+    assert [ng.solve(g, v).nim for v in (ng.GEN, ng.DNG)] == [1, 0]
+
+
 def test_trivial_group_subgroups():
     # Z1 has no proper divisor to bound a join by
-    assert ng.all_subgroups(ng.build_cyclic(1)) == (1,)
+    assert subgroup_walk(ng.build_cyclic(1)) == [(1, 0, set())]
 
 
 def test_subgroups_are_sorted_and_closed():
     g = support.group("Dih(Z5)")
-    subs = ng.all_subgroups(g)
-    assert list(subs) == sorted(subs, key=lambda m: (bin(m).count("1"), m))
+    subs = [h for h, _, _ in subgroup_walk(g)]
+    assert [h.bit_count() for h in subs] == [10, 5, 2, 2, 2, 2, 2, 1]
     assert all(support.reference_closure(g, m) == m for m in subs)
 
 
 def test_order_cap():
-    with pytest.raises(ng.CapacityError):
-        ng.all_subgroups(support.group("Z8"), order_cap=4)
     with pytest.raises(ng.CapacityError):
         ng.intersection_subgroups(support.group("Dih(Z8)"), order_cap=10)
 
@@ -106,7 +117,7 @@ def _heisenberg(p):
 def test_maximals_match_containment_filter():
     # non-abelian Dih(A) take the closed form, other nilpotent groups the
     # Frattini-quotient route, and Dih(Z3)xZ4, A4 and S4 the subgroup
-    # enumeration; all must agree with the O(S^2) filter, also on relabelled
+    # walk; all must agree with the O(S^2) filter, also on relabelled
     # tables whose identity the parser moved to index 0
     extra = ("Z2xZ2xZ2xZ2xZ2", "Dih(Z2xZ2xZ2xZ2)", "Z2xZ4xZ8", "Z3xZ3xZ3xZ3",
              "Dih(Z2xZ2xZ4)", "Dih(Z4)xZ3", "Dih(Z4)xDih(Z4)", "Dih(Z2xZ4)xZ5",
@@ -153,16 +164,33 @@ def test_dih_route_fires_only_on_non_abelian_dih():
         assert lattice._dih_maximals(g) is None, g.label
 
 
+def _refuse_walk(monkeypatch):
+    """Make the general route of ``maximal_subgroups`` raise."""
+    def refusing(*args, **kwargs):
+        raise AssertionError("subgroup_walk called")
+
+    monkeypatch.setattr(lattice, "subgroup_walk", refusing)
+
+
 @pytest.mark.parametrize("a", ["Z99", "Z3xZ9", "Z2xZ2xZ2xZ2xZ6"])
 def test_dih_solve_enumerates_no_subgroups(a, monkeypatch):
-    def refusing(*args, **kwargs):
-        raise AssertionError("all_subgroups called")
-
-    monkeypatch.setattr(lattice, "all_subgroups", refusing)
+    _refuse_walk(monkeypatch)
     g, spec = ng.build_group(f"Dih({a})"), ng.AbelianSpec.from_spec(a)
     for variant, predict in ((ng.GEN, ng.predict_gen_dih), (ng.DNG, ng.predict_dng_dih)):
         result = ng.solve(g, variant)
         assert (result.nim, result.d_g) == (predict(spec), spec.rank + 1)
+
+
+@pytest.mark.parametrize("spec", ["Heisenberg(3)", "Dih(Z4)xDih(Z4)"])
+def test_nilpotent_solve_enumerates_no_subgroups(spec, monkeypatch):
+    # non-abelian and nilpotent, so not a Dih(A): the Frattini-quotient
+    # route, checked against the state search, which walks on its own
+    g = _heisenberg(3) if spec == "Heisenberg(3)" else support.group(spec)
+    assert lattice._dih_maximals(g) is None and ng.is_nilpotent(g)
+    want = {v: ng.brute_nim(g, v, brute_cap=g.order) for v in (ng.GEN, ng.DNG)}
+    _refuse_walk(monkeypatch)
+    for variant in (ng.GEN, ng.DNG):
+        assert ng.solve(g, variant).nim == want[variant], (spec, variant)
 
 
 def test_maximals_need_order_two():

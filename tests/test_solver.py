@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nimgen as ng
+from nimgen.groups import subgroup_walk
 
 import support
 
@@ -88,7 +89,7 @@ def test_brute_search_matches_reference(spec, seed, variant):
 
 @pytest.mark.parametrize("variant", [ng.GEN, ng.DNG])
 def test_brute_matches_structure_on_permutation_groups(variant):
-    # A4 and S4 are not dihedral, so their maximals come from enumeration
+    # A4 and S4 are not dihedral, so their maximals come from the subgroup walk
     for name, want in (("A4", 3), ("S4", 0)):
         g = support.group(name)
         nim = ng.structure_nim(g, ng.intersection_subgroups(g), variant).game_nim
@@ -96,24 +97,43 @@ def test_brute_matches_structure_on_permutation_groups(variant):
         assert ng.brute_nim(g, variant, brute_cap=24) == nim, g.label
 
 
+def check_brute_states(g, lat, variant) -> int:
+    """Every state (H, k) of ``brute_search`` on ``g`` against the position
+    cell (class of H, parity of k) of the structure solver on ``lat``;
+    returns the number of states."""
+    nims = ng.structure_nim(g, lat, variant)
+    memo = ng.brute_search(g, variant, brute_cap=g.order)
+    assert memo[1, 0] == nims.game_nim, g.label
+    for (h, k), v in memo.items():
+        assert nims.per_class[ng.ceil_class(lat, g, h)][k & 1] == v, (g.label, h, k)
+    return len(memo)
+
+
 @pytest.mark.parametrize("variant", [ng.GEN, ng.DNG])
 def test_brute_states_match_structure_classes(variant):
-    # Every state (H, k) is the position cell (class of H, parity of k) of
-    # the structure solver: the whole brute table against the class table,
-    # on every extended-catalog group (orders up to 54), the permutation
-    # groups A4, S4 and A5, and one seeded relabelling of each.
+    # The whole brute table against the class table, on every
+    # extended-catalog group (orders up to 54), the permutation groups A4,
+    # S4 and A5, and one seeded relabelling of each.
     groups = [support.group(s) for s in (*ng.EXTENDED_CATALOG, "A4", "S4", "A5")]
     groups += [support.relabelled(g, seed) for seed, g in enumerate(groups)]
-    cells = 0
-    for g in groups:
-        lat = ng.intersection_subgroups(g)
-        nims = ng.structure_nim(g, lat, variant)
-        memo = ng.brute_search(g, variant, brute_cap=g.order)
-        assert memo[1, 0] == nims.game_nim, g.label
-        for (h, k), v in memo.items():
-            assert nims.per_class[ng.ceil_class(lat, g, h)][k & 1] == v, (g.label, h, k)
-        cells += len(memo)
-    assert cells == 8178
+    assert sum(check_brute_states(g, ng.intersection_subgroups(g), variant)
+               for g in groups) == 8178
+
+
+def test_product_catalog_up_to_72():
+    # Products of Dih(A) with an abelian group or another Dih(B) that take
+    # the general route of maximal_subgroups, with one seeded relabelling
+    # of each: maximals against the containment filter, and the brute
+    # states against the class table in both games.
+    specs = list(support.product_catalog(72))
+    assert len(specs) == 37
+    for seed, spec in enumerate(specs):
+        g = support.group(spec)
+        for h in (g, support.relabelled(g, seed)):
+            lat = ng.intersection_subgroups(h)
+            assert lat.maximals == support.reference_maximals(h), h.label
+            for variant in (ng.GEN, ng.DNG):
+                check_brute_states(h, lat, variant)
 
 
 @pytest.mark.parametrize("variant", [ng.GEN, ng.DNG])
@@ -131,7 +151,7 @@ def test_brute_search_closes_each_join_once(variant, monkeypatch):
     g = support.group("Dih(Z13)")
     mul = g.mul
     bound = 0
-    for h in ng.all_subgroups(g):
+    for h, _, _ in subgroup_walk(g):
         rest = g.full_mask & ~h
         while rest:
             x = (rest & -rest).bit_length() - 1
