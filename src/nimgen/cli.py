@@ -1,6 +1,6 @@
 """Command-line interface: solve games, draw diagrams, verify, tabulate.
 
-Specs are built by ``lattice.build_capped``, which refuses one over the
+``groups.build_group`` builds each spec, refusing the first table over the
 order cap unbuilt.  ``verify`` renders the report of ``theory.verify_family``
 or ``theory.verify_suite``, whose counts give the exit code.  All output is
 UTF-8 with LF line endings; wall-time fields are the only nondeterministic part.
@@ -26,7 +26,8 @@ from .diagram import (
     to_dot,
 )
 from .errors import NimgenError
-from .lattice import DEFAULT_ORDER_CAP, build_capped
+from .groups import build_group
+from .lattice import DEFAULT_ORDER_CAP
 from .solver import DEFAULT_BRUTE_CAP, DNG, GEN, solve
 from .theory import SUITES, AbelianSpec, verify_family, verify_suite
 
@@ -39,7 +40,7 @@ def _solve_record(spec_str: str, variant: str, mode: str, *, brute_cap: int,
     record: dict = {"spec": spec_str, "variant": variant,
                     "tool_version": __version__}
     try:
-        g = build_capped(spec_str, order_cap)
+        g = build_group(spec_str, order_cap)
         result = solve(g, variant, mode, brute_cap=brute_cap,
                        order_cap=order_cap)
         record.update(order=g.order, nim=result.nim, mode=result.mode,
@@ -109,7 +110,7 @@ def cmd_diagram(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
-        r = solve(build_capped(args.spec, args.order_cap), GEN, "structure",
+        r = solve(build_group(args.spec, args.order_cap), GEN, "structure",
                   order_cap=args.order_cap)
         digraph = build_digraph(r.lattice.group, r.lattice, r.classes, r.deficiency)
         drawing = simplify(digraph) if args.simplified else digraph

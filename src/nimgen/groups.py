@@ -3,8 +3,8 @@
 Element indices run 0..order-1 and index 0 is always the identity.  Subsets
 of a group (game positions, subgroup carriers, generating sets) are plain
 ``int`` bitmasks over element indices, so membership, union and intersection
-are single integer operations.  ``spec_order`` reads a spec's order without
-building it, so ``lattice.build_capped`` can refuse an oversized spec.
+are single integer operations.  ``build_group`` builds a spec from the inside
+out and refuses the first table over an order cap before building it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from math import gcd
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
-from .errors import NonAbelianError, SpecParseError, TableFormatError
+from .errors import CapacityError, NonAbelianError, SpecParseError, TableFormatError
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -333,43 +333,43 @@ def parse_group_spec(text: str) -> GroupSpec:
     return spec
 
 
-def build_group(spec: GroupSpec | str) -> GroupTable:
-    """Construct the group a spec describes."""
+def check_order_cap(order: int, order_cap: int | None) -> None:
+    """Raise CapacityError if a group of ``order`` is over ``order_cap``
+    (``None``: no cap); orders below 2 are left to the solvers to refuse."""
+    if order_cap is not None and order >= 2 and order > order_cap:
+        raise CapacityError(
+            f"structure lattice capped at order {order_cap}, group has order {order}")
+
+
+def build_group(spec: GroupSpec | str, order_cap: int | None = None) -> GroupTable:
+    """Construct the group a spec describes, from the inside out.
+
+    With an ``order_cap``, the first table over it is refused with
+    CapacityError before it is built: a product on its factors' orders, a
+    ``Dih`` on its inner order, a table file on its header.
+    """
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     if isinstance(spec, Cyclic):
+        check_order_cap(spec.n, order_cap)
         return build_cyclic(spec.n)
     if isinstance(spec, Product):
-        return direct_product(build_group(spec.left), build_group(spec.right))
+        left, right = build_group(spec.left, order_cap), build_group(spec.right, order_cap)
+        check_order_cap(left.order * right.order, order_cap)
+        return direct_product(left, right)
     if isinstance(spec, Dih):
-        return dihedralize(build_group(spec.inner))
+        inner = build_group(spec.inner, order_cap)
+        check_order_cap(2 * inner.order, order_cap)
+        return dihedralize(inner)
     if isinstance(spec, TableFile):
-        return load_table_file(spec.path)
+        p = Path(spec.path)
+        try:
+            text = p.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise TableFormatError(f"cannot read table file {p}: {exc}") from exc
+        check_order_cap(_declared_order(text.splitlines()), order_cap)
+        return parse_table_text(text, label=f"table:{p}")
     raise TypeError(f"not a group spec: {spec!r}")
-
-
-def spec_order(spec: GroupSpec, in_dih: bool = False) -> tuple[int, bool]:
-    """Order of the group a spec describes, without building it, and
-    whether that order is exact.
-
-    Where ``build_group`` may fail first, the order is a lower bound: the
-    order a table file's header declares (1 if the header is not an order),
-    twice the inner bound for a ``Dih`` inside a ``Dih``, which need not be
-    abelian, and the product of the bounds for a product.
-    """
-    if isinstance(spec, Cyclic):
-        return spec.n, True
-    if isinstance(spec, Product):
-        left, left_exact = spec_order(spec.left, in_dih)
-        right, right_exact = spec_order(spec.right, in_dih)
-        return left * right, left_exact and right_exact
-    if isinstance(spec, Dih):
-        inner, exact = spec_order(spec.inner, True)
-        return 2 * inner, exact and not in_dih
-    try:  # the header alone: an over-cap table file is refused unparsed
-        return table_file_order(spec.path), False
-    except TableFormatError:  # the loader reports it
-        return 1, False
 
 
 # ---------------------------------------------------------------------------
@@ -390,24 +390,9 @@ def _declared_order(lines: Iterable[str]) -> int:
     return n
 
 
-def table_file_order(path: str | Path) -> int:
-    """The order a table file declares, read from its header alone; raises
-    the TableFormatError that ``load_table_file`` gives for that header."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return _declared_order(chain.from_iterable(map(str.splitlines, fh)))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise TableFormatError(f"cannot read table file {Path(path)}: {exc}") from exc
-
-
 def load_table_file(path: str | Path) -> GroupTable:
     """Load and validate a Cayley table file."""
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise TableFormatError(f"cannot read table file {p}: {exc}") from exc
-    return parse_table_text(text, label=f"table:{p}")
+    return build_group(TableFile(str(path)))
 
 
 def to_table_text(g: GroupTable) -> str:

@@ -10,7 +10,7 @@ the position's structure class; the terminal class of generating positions
 is identified by the sentinel ``TERMINAL``.  Classes are found through the
 element-by-maximal incidence: an element's signature is the set of maximals
 holding it, and a class's intent is the set of maximals holding its carrier.
-Every entry point that takes a group spec builds it through ``build_capped``.
+Every entry point that takes a group spec builds it with ``build_group``.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Mapping, Sequence
 
-from .errors import CapacityError
-from .groups import (GroupSpec, GroupTable, build_group, generated_subgroup,
-                     is_nilpotent, iter_mask, mask_of, parse_group_spec,
-                     prime_factors, span, spec_order, subgroup_walk)
+from .groups import (GroupTable, check_order_cap, generated_subgroup,
+                     is_nilpotent, iter_mask, mask_of, prime_factors, span,
+                     subgroup_walk)
 
 TERMINAL = -1  # class id of the terminal class (the whole group)
 
@@ -31,26 +30,6 @@ DEFAULT_ORDER_CAP = 200
 
 def _by_size(masks) -> tuple[int, ...]:
     return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
-
-
-def check_order_cap(order: int, order_cap: int, exact: bool = True) -> None:
-    """Raise CapacityError if a group of ``order`` is over ``order_cap``;
-    with ``exact`` false, ``order`` is the lower bound a spec declares."""
-    if order > order_cap:
-        found = f"group has order {order}" if exact else f"spec declares order at least {order}"
-        raise CapacityError(f"structure lattice capped at order {order_cap}, {found}")
-
-
-def build_capped(spec: GroupSpec | str, order_cap: int) -> GroupTable:
-    """The group of a spec, refused with CapacityError before any table is
-    built when its order, or the lower bound ``spec_order`` gives, is over
-    ``order_cap``.  Orders below 2 are left to the solvers to refuse."""
-    if isinstance(spec, str):
-        spec = parse_group_spec(spec)
-    order, exact = spec_order(spec)
-    if order >= 2:
-        check_order_cap(order, order_cap, exact)
-    return build_group(spec)
 
 
 def _nilpotent_maximals(g: GroupTable, elems: Sequence[int]) -> list[int]:

@@ -26,13 +26,12 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping
 
 from .errors import CapacityError
-from .groups import GroupSpec, GroupTable, subgroup_walk
+from .groups import GroupSpec, GroupTable, build_group, subgroup_walk
 from .lattice import (
     DEFAULT_ORDER_CAP,
     TERMINAL,
     DeficiencyTable,
     IntersectionLattice,
-    build_capped,
     class_parity,
     deficiency_table,
     intersection_subgroups,
@@ -187,6 +186,6 @@ def solve(g: GroupTable, variant: Variant = GEN, mode: str = "auto", *,
 def nim_of_game(spec: GroupSpec | str, variant: Variant = GEN, mode: str = "auto", *,
                 brute_cap: int = DEFAULT_BRUTE_CAP,
                 order_cap: int = DEFAULT_ORDER_CAP) -> int:
-    """Nim value of a game given a group spec, built by ``build_capped``; see ``solve``."""
-    return solve(build_capped(spec, order_cap), variant, mode,
+    """Nim value of a game given a group spec, built by ``build_group``; see ``solve``."""
+    return solve(build_group(spec, order_cap), variant, mode,
                  brute_cap=brute_cap, order_cap=order_cap).nim

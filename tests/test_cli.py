@@ -247,6 +247,13 @@ def test_zero_caps_accepted(capsys):
     code, out, _ = run(capsys, "solve", "Z2", "--brute-cap", "0")
     assert code == 0
     assert "mode=structure" in out
+    # orders below 2 are the solvers' to refuse, whatever the cap
+    for cap in ("0", "1"):
+        code, out, _ = run(capsys, "solve", "Z1", "--order-cap", cap)
+        assert code == 2
+        assert "generation games need a group of order at least 2" in out
+    with pytest.raises(ValueError, match="order at least 2"):
+        ng.nim_of_game("Z1", order_cap=0)
 
 
 @pytest.mark.parametrize("argv", [["diagram", "Dih(Z4)"], ["verify", "Z5"]])
@@ -344,8 +351,8 @@ def test_verify_notes_each_group_once(capsys):
 
 
 def test_verify_suite_builds_no_table_over_the_cap(capsys, monkeypatch):
-    # The check suites refuse an over-cap group from its spec, and the
-    # even-types suite reads orders without building the groups.
+    # The check suites build no table over the cap, and the even-types
+    # suite takes its even-order groups from a constant.
     expected = run(capsys, "verify", "--suite", "all", "--order-cap", "10")
     support.refuse_builds_over(monkeypatch, 10)
     code, out, err = run(capsys, "verify", "--suite", "all", "--order-cap", "10")
@@ -420,46 +427,40 @@ def test_broken_pipe_exits_quietly():
     ("table", "Zn", "--n", "100000..100000"),
     ("diagram", "Z100000"),
     ("verify", "Z100000"),
-    # a table file counts the order on its first line, or 1 if it cannot
-    # be read; a Dih inside a Dih twice its inner bound
+    # the left factor is refused before the right one is read or built
     ("solve", "Z100000xtable:k4.tbl"),
     ("solve", "Z100000xDih(Dih(Z3))"),
     ("solve", "table:z300.tbl"),
+    # the parts fit and the whole does not
+    ("solve", "Z15xZ15"),
+    ("solve", "Dih(Z150)"),
+    ("solve", "Dih(table:z150.tbl)"),
 ])
 def test_over_cap_builds_no_table(argv, capsys, monkeypatch, tmp_path):
-    # Builders that refuse large results: a spec over the order cap must be
-    # rejected from the spec alone, before any Cayley table is built or a
-    # table file's rows are parsed.
+    # Builders that refuse orders over the cap: no table over the cap is
+    # built, and no table file's rows over it are parsed.
     import nimgen.groups
 
-    (tmp_path / "z300.tbl").write_text(
-        nimgen.groups.to_table_text(nimgen.groups.build_cyclic(300)), encoding="utf-8")
+    for n in (150, 300):
+        (tmp_path / f"z{n}.tbl").write_text(
+            nimgen.groups.to_table_text(nimgen.groups.build_cyclic(n)), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
+    parse = nimgen.groups.parse_table_text
 
     def refusing_parse(text, label=""):
-        raise AssertionError("parse_table_text asked to parse a table")
+        if int(text.split(maxsplit=1)[0]) > 200:
+            raise AssertionError("parse_table_text asked to parse a large table")
+        return parse(text, label)
 
     monkeypatch.setattr(nimgen.groups, "parse_table_text", refusing_parse)
-
-    def refusing(build, order_of):
-        def wrapper(*groups):
-            if order_of(*groups) > 1000:
-                raise AssertionError(f"{build.__name__} asked for a large table")
-            return build(*groups)
-        return wrapper
-
-    for name, order_of in (("build_cyclic", lambda n: n),
-                           ("direct_product", lambda g, h: g.order * h.order),
-                           ("dihedralize", lambda a: 2 * a.order)):
-        monkeypatch.setattr(nimgen.groups, name,
-                            refusing(getattr(nimgen.groups, name), order_of))
+    support.refuse_builds_over(monkeypatch, 200)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert "capped at order 200" in out + err
 
 
 def test_table_file_header_is_checked_against_the_cap(tmp_path, capsys):
-    # Only the header is read before the cap check: a file within the cap,
+    # Only the header is parsed before the cap check: a file within the cap,
     # or one whose header is not an order, still gets the loader's error,
     # and a header over the cap is refused whatever the rows hold.
     files = {
@@ -473,8 +474,8 @@ def test_table_file_header_is_checked_against_the_cap(tmp_path, capsys):
     expected = {
         "rows.tbl": "row 1 is not a permutation of 0..2",
         "header.tbl": "first line must be the group order, got 'order 300'",
-        "short.tbl": "capped at order 200, spec declares order at least 300",
-        "notperm.tbl": "capped at order 200, spec declares order at least 300",
+        "short.tbl": "capped at order 200, group has order 300",
+        "notperm.tbl": "capped at order 200, group has order 300",
     }
     for name, message in expected.items():
         code, out, _ = run(capsys, "solve", f"table:{tmp_path / name}")

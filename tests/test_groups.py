@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nimgen as ng
-from nimgen.groups import (Cyclic, Dih, Product, extend_subgroup, span, spec_order,
+from nimgen.groups import (Cyclic, Dih, Product, TableFile, extend_subgroup, span,
                            subgroup_walk)
 
 import support
@@ -233,28 +233,6 @@ def test_parse_rejects_long_digit_run(spec, position):
         f"cyclic group order has too many digits (at position {position})")
 
 
-def test_spec_order_is_the_built_order():
-    for spec in ng.EXTENDED_CATALOG:
-        assert spec_order(ng.parse_group_spec(spec)) == (
-            support.group(spec).order, True), spec
-
-
-@pytest.mark.parametrize("spec, expected", [
-    # a Dih inside a Dih need not be abelian: twice its inner order bounds it
-    ("Dih(Dih(Z3))", (12, False)),
-    ("Z2xDih(Z5xDih(Z3))", (120, False)),
-    ("Dih(Z2xZ2)xZ3", (24, True)),
-    # a table file counts its header, or 1 if the header is not an order
-    ("Dih(table:h300.tbl)", (600, False)),
-    ("Z2xtable:missing.tbl", (2, False)),
-])
-def test_spec_order_reads_no_table(spec, expected, monkeypatch, tmp_path):
-    (tmp_path / "h300.tbl").write_text("300\n", encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
-    support.refuse_builds_over(monkeypatch, 0)
-    assert spec_order(ng.parse_group_spec(spec)) == expected
-
-
 def test_build_group_accepts_spec_or_string():
     a = ng.build_group("Dih(Z6)")
     b = ng.build_group(ng.parse_group_spec("Dih(Z6)"))
@@ -364,9 +342,6 @@ def test_non_utf8_table_file_is_a_table_format_error(data, tmp_path):
         with pytest.raises(ng.TableFormatError) as exc:
             load(path)
         assert str(exc.value).startswith(message)
-    if data.startswith(b"\xff"):
-        with pytest.raises(ng.TableFormatError, match="cannot read table file"):
-            ng.groups.table_file_order(path)
 
 
 def test_table_round_trip_keeps_every_catalog_group():
@@ -472,15 +447,22 @@ def test_table_rejects_nonassociative_above_order_64():
     ("300\n0 1\n", 300),
 ])
 def test_table_file_order_reads_the_loaders_header(text, expected, tmp_path):
-    # The header alone gives the order the loader reads, or its error.
+    # load_table_file gives a table file's order, or its header error, and
+    # an order cap reads that same header before any row is parsed.
     path = tmp_path / "t.tbl"
     path.write_bytes(text.encode("utf-8"))
     try:
-        got = ng.groups.table_file_order(path)
+        got = ng.load_table_file(path).order
     except ng.TableFormatError as exc:
         got = str(exc)
-    assert got == expected
     if isinstance(expected, str):
+        assert got == expected
         with pytest.raises(ng.TableFormatError) as exc:
-            ng.load_table_file(path)
+            ng.build_group(TableFile(str(path)), order_cap=1)
         assert str(exc.value) == expected
+    else:
+        # the order-300 header has one row
+        assert got in (expected, f"expected {expected} table rows, found 1")
+        with pytest.raises(ng.CapacityError) as exc:
+            ng.build_group(TableFile(str(path)), order_cap=1)
+        assert str(exc.value).endswith(f"group has order {expected}")

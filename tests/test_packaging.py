@@ -1,3 +1,4 @@
+import importlib
 import sys
 import types
 from pathlib import Path
@@ -29,11 +30,31 @@ def test_error_list_matches_the_error_module():
     assert defined <= set(nimgen.__all__)
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
-def test_pyproject_version_matches_package():
+def _project() -> dict:
     import tomllib
 
     pyproject = Path(__file__).parent.parent / "pyproject.toml"
     with pyproject.open("rb") as f:
-        project = tomllib.load(f)["project"]
-    assert project["version"] == nimgen.__version__
+        return tomllib.load(f)["project"]
+
+
+needs_tomllib = pytest.mark.skipif(sys.version_info < (3, 11),
+                                   reason="tomllib needs Python 3.11")
+
+
+@needs_tomllib
+def test_pyproject_version_matches_package():
+    assert _project()["version"] == nimgen.__version__
+
+
+@needs_tomllib
+def test_console_scripts_resolve_to_callables():
+    # tier-1 imports from src, so nothing else runs the installed entry points
+    scripts = _project()["scripts"]
+    assert scripts
+    for target in scripts.values():
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module)
+        for name in attr.split("."):
+            obj = getattr(obj, name)
+        assert callable(obj), target

@@ -4,7 +4,7 @@ import pytest
 
 import nimgen as ng
 from nimgen.groups import subgroup_walk
-from nimgen.theory import AbelianSpec, _subgroup_deficiencies
+from nimgen.theory import EVEN_CATALOG, AbelianSpec, _subgroup_deficiencies
 
 import support
 
@@ -281,3 +281,8 @@ def test_catalogs_build():
     for spec in ng.EXTENDED_CATALOG:
         assert support.group(spec).order <= 54
     assert set(ng.DIHEDRAL_FAMILY) | set(ng.THEOREM_FAMILY) == set(ng.ABELIAN_CATALOG)
+
+
+def test_even_catalog_is_the_even_order_small_catalog():
+    assert EVEN_CATALOG == tuple(s for s in ng.SMALL_CATALOG
+                                 if support.group(s).order % 2 == 0)
