@@ -346,7 +346,8 @@ def build_group(spec: GroupSpec | str, order_cap: int | None = None) -> GroupTab
 
     With an ``order_cap``, the first table over it is refused with
     CapacityError before it is built: a product on its factors' orders, a
-    ``Dih`` on its inner order, a table file on its header.
+    ``Dih`` on its inner order, a table file on its header, which is read
+    before the rest of the file.
     """
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
@@ -364,10 +365,13 @@ def build_group(spec: GroupSpec | str, order_cap: int | None = None) -> GroupTab
     if isinstance(spec, TableFile):
         p = Path(spec.path)
         try:
-            text = p.read_text(encoding="utf-8")
+            with p.open(encoding="utf-8") as fh:
+                header = chain.from_iterable(map(str.splitlines, fh))
+                check_order_cap(_declared_order(header), order_cap)
+                fh.seek(0)
+                text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise TableFormatError(f"cannot read table file {p}: {exc}") from exc
-        check_order_cap(_declared_order(text.splitlines()), order_cap)
         return parse_table_text(text, label=f"table:{p}")
     raise TypeError(f"not a group spec: {spec!r}")
 

@@ -16,12 +16,11 @@ Every entry point that takes a group spec builds it with ``build_group``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .groups import (GroupTable, check_order_cap, generated_subgroup,
-                     is_nilpotent, iter_mask, mask_of, prime_factors, span,
-                     subgroup_walk)
+                     is_abelian, is_nilpotent, iter_mask, mask_of,
+                     prime_factors, span, subgroup_walk)
 
 TERMINAL = -1  # class id of the terminal class (the whole group)
 
@@ -32,25 +31,35 @@ def _by_size(masks) -> tuple[int, ...]:
     return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
 
 
-def _nilpotent_maximals(g: GroupTable, elems: Sequence[int]) -> list[int]:
-    """Maximal subgroups of the nilpotent subgroup with elements ``elems``
-    (``range(g.order)`` for G itself), from its Frattini quotients.
+def _nilpotent_maximals(g: GroupTable, elems: Sequence[int], abelian: bool,
+                        t: int = 0) -> Iterator[list[int]]:
+    """Maximal subgroups of the nilpotent subgroup A with elements ``elems``
+    (``range(g.order)`` for G itself), from its Frattini quotients: for
+    each maximal M, the list of its cosets in A as masks, M first.  Each
+    coset comes united with its image under right multiplication by ``t``,
+    which for t = e adds nothing.
 
     Every maximal subgroup of a nilpotent group is normal of prime index p
-    and contains N_p = <commutators, p-th powers>, and G/N_p is an F_p
+    and contains N_p = <commutators, p-th powers>, and A/N_p is an F_p
     vector space (Burnside basis theorem; Holt-Eick-O'Brien, Handbook of
     Computational Group Theory, on the Frattini subgroup).  So the maximals
-    of index p are the preimages of the hyperplanes of G/N_p: each element
-    gets its coordinates over a greedy basis b_1..b_r of G/N_p, and each
-    functional whose first non-zero coefficient is 1 cuts out one maximal,
-    (p^r - 1)/(p - 1) of them.
+    of index p are the preimages of the hyperplanes of A/N_p, where a
+    functional whose first non-zero coefficient is 1 is 0, and its other
+    level sets are their cosets.  No commutator pass runs when A is
+    ``abelian``.  Past the cosets of N_p, the work is on masks alone.  The
+    subgroup covered so far contains N_p, so it is normal, and adjoining a
+    basis element b adds its left translates by b^a, a = 1..p-1: coset k
+    has the base-p digits of k as coordinates, and coordinate i gets one
+    mask per value.  The functionals are walked as a tree, one coordinate
+    per level: adding coordinate j with coefficient a moves level c of the
+    parent, where x_j = d, to level c + a·d, so a child's levels are
+    unions of its parent's ANDed with coordinate j's masks.
     """
-    mul, inv = g.mul, g.inv
-    commutators = 0
-    for x in elems:
-        for y in elems:
-            commutators |= 1 << mul[inv[mul[y][x]]][mul[x][y]]
-    maxi = []
+    mul, inv, commutators = g.mul, g.inv, 1
+    if not abelian:
+        for x in elems:
+            for y in elems:
+                commutators |= 1 << mul[inv[mul[y][x]]][mul[x][y]]
     for p in prime_factors(len(elems)):
         seed = commutators
         for x in elems:
@@ -58,25 +67,42 @@ def _nilpotent_maximals(g: GroupTable, elems: Sequence[int]) -> list[int]:
             for _ in range(p - 1):
                 y = mul[y][x]
             seed |= 1 << y
-        coords = {z: () for z in iter_mask(generated_subgroup(g, seed))}
+        covered = generated_subgroup(g, seed)
+        base = list(iter_mask(covered))
+        if t:
+            base += [mul[z][t] for z in base]
+        cosets, reps = [mask_of(base)], [0]
         for b in elems:
-            if b in coords:
+            if (covered >> b) & 1:
                 continue
-            # The subgroup covered so far contains N_p, so it is normal and
-            # adjoining b adds the cosets b^a of it, a = 1..p-1.
-            old, power = list(coords.items()), 0
-            coords = {z: v + (0,) for z, v in old}
-            for a in range(1, p):
+            old, power = list(reps), 0
+            for _ in range(1, p):
                 power = mul[power][b]
-                for z, v in old:
-                    coords[mul[power][z]] = v + (a,)
-        r = len(coords[0])
-        for lead in range(r):
-            for tail in product(range(p), repeat=r - lead - 1):
-                f = (0,) * lead + (1,) + tail
-                maxi.append(sum(1 << z for z, v in coords.items()
-                                if sum(c * a for c, a in zip(f, v)) % p == 0))
-    return maxi
+                for r in old:
+                    x = mul[power][r]
+                    reps.append(x)
+                    cosets.append(mask_of(map(mul[x].__getitem__, base)))
+                    covered |= cosets[-1]
+        values, step = [], 1
+        while step < len(cosets):
+            values.append([0] * p)
+            for k, m in enumerate(cosets):
+                values[-1][k // step % p] |= m
+            step *= p
+        for lead in range(len(values)):
+            stack = [(lead + 1, values[lead])]
+            while stack:
+                j, levels = stack.pop()
+                if j == len(values):
+                    yield levels
+                    continue
+                stack.append((j + 1, levels))
+                for a in range(1, p):
+                    child = [0] * p
+                    for d, vd in enumerate(values[j]):
+                        for c, level in enumerate(levels):
+                            child[(c + a * d) % p] |= level & vd
+                    stack.append((j + 1, child))
 
 
 def _dih_maximals(g: GroupTable) -> list[int] | None:
@@ -90,7 +116,9 @@ def _dih_maximals(g: GroupTable) -> list[int] | None:
     are A and, for each maximal M of A, of prime index p, the p subgroups
     M ∪ M·r·t, one per coset rM: a maximal H ≠ A meets A in some M, t
     normalizes every subgroup of A, so M is maximal in A, and each such
-    union has prime index.
+    union has prime index.  ``_nilpotent_maximals`` gives each coset rM
+    united with rM·t, so M ∪ M·r·t is the first coset's part inside A with
+    rM's part outside it.
     """
     n, mul = g.order, g.mul
     a, elems, _ = span(g, mask_of(x for x in range(n) if mul[x][x]))
@@ -98,13 +126,8 @@ def _dih_maximals(g: GroupTable) -> list[int] | None:
     if n == 2 or 2 * len(elems) != n or any(mul[x][x] for x in outside):
         return None
     t, maxi = outside[0], [a]
-    for m in _nilpotent_maximals(g, elems):
-        members, covered = list(iter_mask(m)), 0
-        for r in elems:
-            if not (covered >> r) & 1:
-                coset = [mul[z][r] for z in members]
-                covered |= mask_of(coset)
-                maxi.append(m | mask_of(mul[c][t] for c in coset))
+    for cosets in _nilpotent_maximals(g, elems, True, t):
+        maxi += [cosets[0] & a | c & ~a for c in cosets]
     return maxi
 
 
@@ -124,7 +147,8 @@ def maximal_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> t
     if (dih := _dih_maximals(g)) is not None:
         return _by_size(dih)
     if is_nilpotent(g):
-        return _by_size(_nilpotent_maximals(g, range(g.order)))
+        return _by_size(cosets[0] for cosets in
+                        _nilpotent_maximals(g, range(g.order), is_abelian(g)))
     return _by_size(h for h, _, joins in subgroup_walk(g) if joins == {g.full_mask})
 
 

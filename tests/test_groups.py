@@ -466,3 +466,15 @@ def test_table_file_order_reads_the_loaders_header(text, expected, tmp_path):
         with pytest.raises(ng.CapacityError) as exc:
             ng.build_group(TableFile(str(path)), order_cap=1)
         assert str(exc.value).endswith(f"group has order {expected}")
+
+
+def test_over_cap_table_file_is_refused_on_its_header(tmp_path):
+    # the header is read before the body, so a byte the body could not
+    # decode 64 KiB into the file is never reached
+    path = tmp_path / "big.tbl"
+    path.write_bytes(b"2000\n" + b"0 " * (32 * 1024) + b"\xff\n")
+    with pytest.raises(ng.CapacityError) as exc:
+        ng.build_group(TableFile(str(path)), order_cap=200)
+    assert str(exc.value).endswith("group has order 2000")
+    with pytest.raises(ng.TableFormatError, match="cannot read table file"):
+        ng.build_group(TableFile(str(path)))

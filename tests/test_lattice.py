@@ -5,7 +5,7 @@ import pytest
 
 import nimgen as ng
 from nimgen import lattice
-from nimgen.groups import subgroup_walk
+from nimgen.groups import prime_factors, subgroup_walk
 
 import support
 
@@ -118,12 +118,15 @@ def test_maximals_match_containment_filter():
     # non-abelian Dih(A) take the closed form, other nilpotent groups the
     # Frattini-quotient route, and Dih(Z3)xZ4, A4 and S4 the subgroup
     # walk; all must agree with the O(S^2) filter, also on relabelled
-    # tables whose identity the parser moved to index 0
+    # tables whose identity the parser moved to index 0.  Z5xZ25, Z7xZ7xZ2
+    # and Z3xZ9xZ5 have p >= 5 with N_p != 1, and Heisenberg(5) is a
+    # non-abelian p-group for an odd p.
     extra = ("Z2xZ2xZ2xZ2xZ2", "Dih(Z2xZ2xZ2xZ2)", "Z2xZ4xZ8", "Z3xZ3xZ3xZ3",
              "Dih(Z2xZ2xZ4)", "Dih(Z4)xZ3", "Dih(Z4)xDih(Z4)", "Dih(Z2xZ4)xZ5",
-             "Dih(Z3xZ6)", "Dih(Z3)xZ4", "A4", "S4")
+             "Dih(Z3xZ6)", "Dih(Z3)xZ4", "A4", "S4", "Z5xZ25", "Z7xZ7xZ2",
+             "Z3xZ9xZ5")
     groups = [support.group(spec) for spec in ng.EXTENDED_CATALOG + extra]
-    groups.append(_heisenberg(3))
+    groups += [_heisenberg(3), _heisenberg(5)]
     nilpotent = 0
     for g in groups:
         spec = g.label
@@ -135,7 +138,7 @@ def test_maximals_match_containment_filter():
                 h = support.relabelled(g, seed)
                 assert ng.is_nilpotent(h)
                 assert ng.maximal_subgroups(h) == support.reference_maximals(h), spec
-    assert nilpotent == 34
+    assert nilpotent == 38
 
 
 def _non_abelian_dih(limit):
@@ -151,6 +154,32 @@ def test_dih_route_matches_containment_filter():
         for h in (g, support.relabelled(g, 1)):
             assert lattice._dih_maximals(h) is not None, h.label
             assert ng.maximal_subgroups(h) == support.reference_maximals(h), h.label
+
+
+def _index_p_counts(a):
+    """(p, (p^r - 1)/(p - 1)) for each prime p dividing |A|, where r is the
+    number of invariant factors of A divisible by p."""
+    for p in prime_factors(a.order):
+        r = sum(f % p == 0 for f in a.factors)
+        yield p, (p ** r - 1) // (p - 1)
+
+
+def test_maximal_counts_match_closed_form():
+    # an abelian A has one maximal of index p per hyperplane of A/A^p; a
+    # non-abelian Dih(A) has A and p maximals over each maximal M of A
+    for n in range(2, 201):
+        for a in ng.abelian_groups(n):
+            want = sum(count for _, count in _index_p_counts(a))
+            assert len(ng.maximal_subgroups(ng.build_group(a.spec_string))) == want, a
+    dih = 0
+    for n in range(1, 101):
+        for a in ng.abelian_groups(n):
+            g = ng.build_group(f"Dih({a.spec_string})")
+            if not ng.is_abelian(g):
+                dih += 1
+                want = 1 + sum(p * count for p, count in _index_p_counts(a))
+                assert len(ng.maximal_subgroups(g)) == want, a
+    assert dih == 178
 
 
 def test_dih_route_fires_only_on_non_abelian_dih():
