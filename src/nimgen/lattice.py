@@ -199,9 +199,11 @@ def intersection_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP)
     carrier is the Frattini subgroup plus its own elements.  Every result
     other than I is an option of I.  An option J of I probes only J & r for
     the options r of I: J & s = J & (I & s) for every signature s, and
-    J & I = J.  A carrier is the meet of its intent's maximals; classes are
-    numbered by carrier size, then mask, so every option has a larger id
-    than its class.
+    J & I = J.  A class whose intent is a single maximal is that maximal
+    subgroup, so its one option is ``TERMINAL`` and it is not probed.  A
+    carrier is the meet of its intent's maximals; classes are numbered by
+    carrier size, then mask, so every option has a larger id than its
+    class.
     """
     maxi = maximal_subgroups(g, order_cap=order_cap)
     sig = [0] * g.order
@@ -214,17 +216,20 @@ def intersection_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP)
         intent, probes = frontier.pop()
         if intent in moves:
             continue
-        opts = moves[intent] = {intent & s for s in probes if intent & s != intent}
+        # a single maximal's class is that maximal: its one option is TERMINAL
+        opts = moves[intent] = {intent & s for s in probes} if intent & (intent - 1) else {0}
+        opts.discard(intent)
         frontier += [(j, opts) for j in opts if j and j not in moves]
-    carrier = {i: _and_over(maxi, i, g.full_mask) for i in moves}
-    intents = sorted(moves, key=lambda i: (carrier[i].bit_count(), carrier[i]))
-    index = {intent: cid for cid, intent in enumerate(intents)}
-    options = tuple(tuple(sorted(index[j] if j else TERMINAL for j in moves[i]))
-                    for i in intents)
+    by_carrier = {_and_over(maxi, i, g.full_mask): i for i in moves}
+    carriers = sorted(sorted(by_carrier), key=int.bit_count)
+    index = {by_carrier[c]: cid for cid, c in enumerate(carriers)}
+    index[0] = TERMINAL
+    options = tuple(tuple(sorted(map(index.__getitem__, moves[by_carrier[c]])))
+                    for c in carriers)
+    del index[0]
     return IntersectionLattice(
-        group=g, intersections=tuple(carrier[i] for i in intents),
-        frattini_index=0, maximals=maxi, sig=tuple(sig), options=options,
-        intent_index=index)
+        group=g, intersections=tuple(carriers), frattini_index=0,
+        maximals=maxi, sig=tuple(sig), options=options, intent_index=index)
 
 
 def ceil_class(lat: IntersectionLattice, g: GroupTable, mask: int) -> int:
@@ -262,7 +267,8 @@ def deficiency_table(lat: IntersectionLattice) -> DeficiencyTable:
     proper and so has an option; the Frattini class, inside every carrier,
     is the farthest, at d(G).
     """
-    dist = {TERMINAL: 0}
+    dist = [0] * (len(lat.options) + 1)  # the terminal's 0 last, read as -1
+    per = {TERMINAL: 0}
     for cid in reversed(range(len(lat.options))):
-        dist[cid] = 1 + min(dist[j] for j in lat.options[cid])
-    return DeficiencyTable(per_class=dist, d_g=dist[lat.frattini_index])
+        per[cid] = dist[cid] = 1 + min(map(dist.__getitem__, lat.options[cid]))
+    return DeficiencyTable(per_class=per, d_g=per[lat.frattini_index])

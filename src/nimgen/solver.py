@@ -17,12 +17,14 @@ a mex.
 The structure solver evaluates either game per structure class: inside a
 class, positions of the carrier's parity and of the opposite parity each
 share one nim value, so two mex equations per class suffice.  The games
-differ only in the terminal class, an option in GEN and never one in DNG.
+differ only in the terminal class's slot: the bit of 0 in GEN, none in DNG.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Literal, Mapping
 
 from .errors import CapacityError
@@ -117,18 +119,20 @@ def structure_nim(g: GroupTable, lat: IntersectionLattice,
 
     Classes are processed from the last id down; every option of a class
     lies in a class with a strictly larger carrier, hence a larger id, or is
-    terminal.
-    A generating position ends GEN with value 0; in DNG no move may reach
-    one, so the terminal class is left out of every option list.
+    terminal.  Even and odd nim values are one-bit masks in two lists, so
+    a pool is an OR and its mex the lowest clear bit.  The terminal class
+    has the last slot, read by option ``TERMINAL`` (-1): a generating
+    position ends GEN with value 0, so the slot holds the bit of 0; in DNG
+    no move may reach one, so it holds nothing.
     """
     _check_game(g, variant)
-    options = lat.options
-    if variant == DNG:
-        options = [[j for j in opts if j != TERMINAL] for opts in options]
+    even = [0] * len(lat.options) + [1 if variant == GEN else 0]
+    odd = list(even)
     per: dict[int, tuple[int, int]] = {TERMINAL: (0, 0)}
-    for cid in reversed(range(len(options))):
-        opts = options[cid]
-        pools = ({per[j][0] for j in opts}, {per[j][1] for j in opts})
+    for cid in reversed(range(len(lat.options))):
+        opts = lat.options[cid]
+        pools = (reduce(or_, map(even.__getitem__, opts)),
+                 reduce(or_, map(odd.__getitem__, opts)))
         q = class_parity(lat, cid)
         # A move adds one element, so every option of a position has the
         # opposite parity.  Positions sharing the carrier's parity include
@@ -136,9 +140,10 @@ def structure_nim(g: GroupTable, lat: IntersectionLattice,
         # opposite-parity positions are proper subsets of the carrier and
         # always have such a move.  Proper subsets of the carrier's parity
         # also reach n_other != n_carrier, which leaves their mex unchanged.
-        n_carrier = mex(pools[1 - q])
-        n_other = mex(pools[q] | {n_carrier})
-        per[cid] = (n_carrier, n_other) if q == 0 else (n_other, n_carrier)
+        n_carrier = ~pools[1 - q] & (pools[1 - q] + 1)  # lowest clear bit
+        n_other = ~(pools[q] | n_carrier) & ((pools[q] | n_carrier) + 1)
+        even[cid], odd[cid] = (n_carrier, n_other) if q == 0 else (n_other, n_carrier)
+        per[cid] = (even[cid].bit_length() - 1, odd[cid].bit_length() - 1)
     return ClassNimTable(per_class=per, game_nim=per[lat.frattini_index][0])
 
 

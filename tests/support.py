@@ -280,6 +280,17 @@ def reference_maximals(g: ng.GroupTable) -> tuple[int, ...]:
                  if not any(m != k and m | k == k for k in proper))
 
 
+def carried(masks, g: ng.GroupTable, h: ng.GroupTable) -> tuple[int, ...]:
+    """Masks over ``g`` moved to ``h``, a relabelling of ``g``, through the
+    element names that ``relabelled`` keeps, sorted by size, then by mask:
+    one reference computed on ``g`` serves each relabelled table."""
+    where = {name: i for i, name in enumerate(h.names)}
+    assert len(where) == h.order == g.order, "element names must be distinct"
+    to = [1 << where[name] for name in g.names]
+    return tuple(sorted((sum(map(to.__getitem__, ng.iter_mask(m))) for m in masks),
+                        key=lambda m: (m.bit_count(), m)))
+
+
 def reference_ceil(lat: ng.IntersectionLattice, g: ng.GroupTable, mask: int) -> int:
     """Class of a mask as the meet of the maximals containing it, by
     |G|-bit mask tests: the reference for the signature ``ceil_class``."""
@@ -298,6 +309,26 @@ def reference_options(lat: ng.IntersectionLattice, g: ng.GroupTable,
     carrier = lat.intersections[cid]
     return tuple(sorted({reference_ceil(lat, g, carrier | (1 << x))
                          for x in range(g.order) if not (carrier >> x) & 1}))
+
+
+def reference_class_nims(lat: ng.IntersectionLattice,
+                         variant: str = ng.GEN) -> dict[int, tuple[int, int]]:
+    """Per-class (even, odd) nim values from sets of option values and
+    ``mex``, the terminal class filtered out of every option list in DNG:
+    the reference for the bit-mask class mex of ``structure_nim``, with
+    its keys in the same order."""
+    options = lat.options
+    if variant == ng.DNG:
+        options = [[j for j in opts if j != ng.TERMINAL] for opts in options]
+    per = {ng.TERMINAL: (0, 0)}
+    for cid in reversed(range(len(options))):
+        opts = options[cid]
+        pools = ({per[j][0] for j in opts}, {per[j][1] for j in opts})
+        q = ng.class_parity(lat, cid)
+        n_carrier = ng.mex(pools[1 - q])
+        n_other = ng.mex(pools[q] | {n_carrier})
+        per[cid] = (n_carrier, n_other) if q == 0 else (n_other, n_carrier)
+    return per
 
 
 def reference_intersections(g: ng.GroupTable) -> tuple[int, ...]:

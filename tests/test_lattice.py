@@ -118,7 +118,8 @@ def test_maximals_match_containment_filter():
     # non-abelian Dih(A) take the closed form, other nilpotent groups the
     # Frattini-quotient route, and Dih(Z3)xZ4, A4 and S4 the subgroup
     # walk; all must agree with the O(S^2) filter, also on relabelled
-    # tables whose identity the parser moved to index 0.  Z5xZ25, Z7xZ7xZ2
+    # tables whose identity the parser moved to index 0, which take the
+    # plain table's filter through the element names.  Z5xZ25, Z7xZ7xZ2
     # and Z3xZ9xZ5 have p >= 5 with N_p != 1, and Heisenberg(5) is a
     # non-abelian p-group for an odd p.
     extra = ("Z2xZ2xZ2xZ2xZ2", "Dih(Z2xZ2xZ2xZ2)", "Z2xZ4xZ8", "Z3xZ3xZ3xZ3",
@@ -137,7 +138,7 @@ def test_maximals_match_containment_filter():
             for seed in (1, 2):
                 h = support.relabelled(g, seed)
                 assert ng.is_nilpotent(h)
-                assert ng.maximal_subgroups(h) == support.reference_maximals(h), spec
+                assert ng.maximal_subgroups(h) == support.carried(want, g, h), spec
     assert nilpotent == 38
 
 
@@ -149,11 +150,13 @@ def _non_abelian_dih(limit):
 
 
 def test_dih_route_matches_containment_filter():
-    # the Dih(A) route reads A off the table, so relabelled tables take it too
+    # the Dih(A) route reads A off the table, so relabelled tables take it
+    # too; each is checked against the plain table's filter, carried over
     for g in _non_abelian_dih(48):
+        want = support.reference_maximals(g)
         for h in (g, support.relabelled(g, 1)):
             assert lattice._dih_maximals(h) is not None, h.label
-            assert ng.maximal_subgroups(h) == support.reference_maximals(h), h.label
+            assert ng.maximal_subgroups(h) == support.carried(want, g, h), h.label
 
 
 def _index_p_counts(a):
@@ -269,11 +272,16 @@ def test_containment_matrix():
 
 
 def test_options_and_ceil_match_mask_reference():
-    for spec in ng.EXTENDED_CATALOG:
+    # Dih(Z31) has 32 maximal classes and little else; Z2^5 and Dih(Z3^3)
+    # have 373 and 211 classes
+    for spec in ng.EXTENDED_CATALOG + ("Dih(Z31)", "Z2xZ2xZ2xZ2xZ2", "Dih(Z3xZ3xZ3)"):
         g = support.group(spec)
         lat = support.lattice(spec)
         for cid in range(len(lat.intersections)):
             assert lat.options[cid] == support.reference_options(lat, g, cid), spec
+        for intent, cid in lat.intent_index.items():
+            if intent.bit_count() == 1:
+                assert lat.options[cid] == (ng.TERMINAL,), spec
         masks = {carrier | (1 << x) for carrier in lat.intersections
                  for x in range(g.order)}
         masks.update(range(0, 1 << min(g.order, 12), 5))
@@ -311,6 +319,14 @@ def test_deficiency_matches_bfs_reference():
         edges = [(cid, j) for cid, opts in enumerate(lat.options) for j in opts]
         want = support.reference_deficiency(lat, edges)
         assert ng.deficiency_table(lat) == want, g.label
+
+
+@pytest.mark.parametrize("variant", [ng.GEN, ng.DNG])
+def test_class_nims_match_set_mex_reference(variant):
+    for g, lat in _reference_lattices():
+        got = ng.structure_nim(g, lat, variant).per_class
+        want = support.reference_class_nims(lat, variant)
+        assert list(got.items()) == list(want.items()), g.label
 
 
 def test_elementary_abelian_2_group_of_rank_6():
