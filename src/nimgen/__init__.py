@@ -71,7 +71,6 @@ from .solver import (
     brute_nim,
     brute_search,
     mex,
-    nim_of_game,
     solve,
     structure_nim,
 )
@@ -117,7 +116,7 @@ __all__ = [
     "class_parity", "DeficiencyTable", "deficiency_table",
     # solver
     "GEN", "DNG", "DEFAULT_BRUTE_CAP", "mex", "brute_search", "brute_nim", "ClassNimTable", "structure_nim",
-    "SolveResult", "solve", "nim_of_game",
+    "SolveResult", "solve",
     # theory
     "strata", "AbelianSpec", "abelian_groups", "predict_gen_dih",
     "predict_dng_dih", "FamilyRecord", "FamilyReport", "verify_family",

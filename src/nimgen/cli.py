@@ -1,7 +1,7 @@
 """Command-line interface: solve games, draw diagrams, verify, tabulate.
 
-``groups.build_group`` builds each spec, refusing the first table over the
-order cap unbuilt.  ``verify`` renders the report of ``theory.verify_family``
+``solver.solve`` builds each spec, refusing the first table over the order
+cap unbuilt.  ``verify`` renders the report of ``theory.verify_family``
 or ``theory.verify_suite``, whose counts give the exit code.  All output is
 UTF-8 with LF line endings; wall-time fields are the only nondeterministic part.
 """
@@ -26,7 +26,6 @@ from .diagram import (
     to_dot,
 )
 from .errors import NimgenError
-from .groups import build_group
 from .lattice import DEFAULT_ORDER_CAP
 from .solver import DEFAULT_BRUTE_CAP, DNG, GEN, solve
 from .theory import SUITES, AbelianSpec, verify_family, verify_suite
@@ -40,10 +39,10 @@ def _solve_record(spec_str: str, variant: str, mode: str, *, brute_cap: int,
     record: dict = {"spec": spec_str, "variant": variant,
                     "tool_version": __version__}
     try:
-        g = build_group(spec_str, order_cap)
-        result = solve(g, variant, mode, brute_cap=brute_cap,
+        result = solve(spec_str, variant, mode, brute_cap=brute_cap,
                        order_cap=order_cap)
-        record.update(order=g.order, nim=result.nim, mode=result.mode,
+        record.update(order=result.lattice.group.order, nim=result.nim,
+                      mode=result.mode,
                       intersections=len(result.lattice.intersections),
                       d_g=result.d_g)
     except (NimgenError, ValueError) as exc:
@@ -105,13 +104,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_diagram(args: argparse.Namespace) -> int:
-    if args.game == "dng":
-        print("error: diagrams are defined for the achievement game only",
-              file=sys.stderr)
-        return 2
     try:
-        r = solve(build_group(args.spec, args.order_cap), GEN, "structure",
-                  order_cap=args.order_cap)
+        r = solve(args.spec, GEN, "structure", order_cap=args.order_cap)
         digraph = build_digraph(r.lattice.group, r.lattice, r.classes, r.deficiency)
         drawing = simplify(digraph) if args.simplified else digraph
     except (NimgenError, ValueError) as exc:
@@ -244,9 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_order_cap(p)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("diagram", help="emit the structure digraph")
+    p = sub.add_parser("diagram", help="emit the structure digraph of GEN")
     p.add_argument("spec", metavar="SPEC")
-    _add_game(p)
     p.add_argument("--format", dest="fmt", choices=["dot", "json"],
                    default="dot")
     p.add_argument("--style", choices=["full", "plain"], default="full")

@@ -10,7 +10,6 @@ the position's structure class; the terminal class of generating positions
 is identified by the sentinel ``TERMINAL``.  Classes are found through the
 element-by-maximal incidence: an element's signature is the set of maximals
 holding it, and a class's intent is the set of maximals holding its carrier.
-Every entry point that takes a group spec builds it with ``build_group``.
 """
 
 from __future__ import annotations

@@ -163,15 +163,19 @@ class SolveResult:
         return self.deficiency.d_g
 
 
-def solve(g: GroupTable, variant: Variant = GEN, mode: str = "auto", *,
-          brute_cap: int = DEFAULT_BRUTE_CAP,
+def solve(group: GroupTable | GroupSpec | str, variant: Variant = GEN,
+          mode: str = "auto", *, brute_cap: int = DEFAULT_BRUTE_CAP,
           order_cap: int = DEFAULT_ORDER_CAP) -> SolveResult:
-    """Nim value of a game on ``g``, with the tables ``SolveResult`` lists.
+    """Nim value of a game on a table or a spec, with the tables
+    ``SolveResult`` lists.
 
-    ``auto`` uses brute force up to ``brute_cap`` and the structure solver
-    above it, in both games.  The lattice is built in every mode, so
-    ``order_cap`` bounds brute-force solves as well.
+    A spec is built by ``build_group`` under ``order_cap``, which refuses
+    the first table over the cap before building it.  ``auto`` uses brute
+    force up to ``brute_cap`` and the structure solver above it, in both
+    games.  The lattice is built in every mode, so ``order_cap`` bounds
+    brute-force solves as well.
     """
+    g = group if isinstance(group, GroupTable) else build_group(group, order_cap)
     _check_game(g, variant)
     if mode == "auto":
         mode = "brute" if g.order <= brute_cap else "structure"
@@ -186,11 +190,3 @@ def solve(g: GroupTable, variant: Variant = GEN, mode: str = "auto", *,
         nim = classes.game_nim
     return SolveResult(nim=nim, mode=mode, lattice=lat,
                        deficiency=deficiency_table(lat), classes=classes)
-
-
-def nim_of_game(spec: GroupSpec | str, variant: Variant = GEN, mode: str = "auto", *,
-                brute_cap: int = DEFAULT_BRUTE_CAP,
-                order_cap: int = DEFAULT_ORDER_CAP) -> int:
-    """Nim value of a game given a group spec, built by ``build_group``; see ``solve``."""
-    return solve(build_group(spec, order_cap), variant, mode,
-                 brute_cap=brute_cap, order_cap=order_cap).nim

@@ -263,9 +263,9 @@ class FamilyReport:
 
 def _structure_solver(order_cap: int) -> Callable[[str, Variant], SolveResult]:
     # Call with the game positional: the cache keys f(s) and f(s, GEN) apart.
-    # ``build_group`` raises CapacityError before it builds a table over the cap.
-    return cache(lambda spec, variant: solve(
-        build_group(spec, order_cap), variant, "structure", order_cap=order_cap))
+    # ``solve`` raises CapacityError before it builds a table over the cap.
+    return cache(lambda spec, variant: solve(spec, variant, "structure",
+                                             order_cap=order_cap))
 
 
 def _family_records(specs: Iterable[AbelianSpec], variant: Variant,
@@ -285,7 +285,7 @@ def _family_records(specs: Iterable[AbelianSpec], variant: Variant,
             # Frattini carriers compare directly; A's is the meet of its
             # maximals.
             a_frattini = reduce(and_, maximal_subgroups(
-                build_group(a.spec_string), order_cap=order_cap))
+                build_group(a.spec_string, order_cap), order_cap=order_cap))
             frattini_match = a_frattini == result.lattice.frattini_mask
         except CapacityError as exc:
             records.append(FamilyRecord(spec_str, variant, predicted, d_a=a.rank,

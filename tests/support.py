@@ -243,16 +243,22 @@ def reference_group(spec) -> ng.GroupTable:
 def reference_subgroups(g: ng.GroupTable) -> tuple[int, ...]:
     """Every subgroup mask, sorted by size, then by mask, by join closure.
 
-    Joins each subgroup found with every element outside it, one
-    ``reference_closure`` call each: O(|K|^2) per join, kept as the
-    reference that the coset closure of ``subgroup_walk`` must match.
+    Joins each subgroup H found with one element x of each right coset Hx
+    outside it, since <H, a·x> = <H, x> for every a in H: one
+    ``reference_closure`` call each, O(|K|^2) per join, kept as the
+    reference that the Dimino and double-coset walk of ``subgroup_walk``
+    must match.
     """
+    mul = g.mul
     seen = {1}
     frontier = [1]
     while frontier:
         h = frontier.pop()
+        elems = list(ng.iter_mask(h))
+        covered = h
         for x in range(1, g.order):
-            if not (h >> x) & 1:
+            if not (covered >> x) & 1:
+                covered |= sum(1 << mul[a][x] for a in elems)
                 j = reference_closure(g, h | (1 << x))
                 if j not in seen:
                     seen.add(j)

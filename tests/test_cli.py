@@ -215,12 +215,6 @@ def test_diagram_json_matches_library_pipeline(spec, seed, capsys, tmp_path):
         assert json.loads(out) == expected, flags
 
 
-def test_diagram_rejects_dng(capsys):
-    code, _, err = run(capsys, "diagram", "--game", "dng", "Dih(Z4)")
-    assert code == 2
-    assert "achievement" in err
-
-
 @pytest.mark.parametrize("argv", [
     ["solve", "Z2", "--brute-cap", "-5"],
     ["solve", "Z4", "--order-cap", "-3"],
@@ -253,15 +247,21 @@ def test_zero_caps_accepted(capsys):
         assert code == 2
         assert "generation games need a group of order at least 2" in out
     with pytest.raises(ValueError, match="order at least 2"):
-        ng.nim_of_game("Z1", order_cap=0)
+        ng.solve("Z1", order_cap=0)
 
 
-@pytest.mark.parametrize("argv", [["diagram", "Dih(Z4)"], ["verify", "Z5"]])
+@pytest.mark.parametrize("argv", [
+    ["diagram", "Dih(Z4)", "--brute-cap", "1"],
+    ["verify", "Z5", "--brute-cap", "1"],
+    # diagrams are drawn for GEN only
+    ["diagram", "Dih(Z4)", "--game", "gen"],
+    ["diagram", "Dih(Z4)", "--game", "dng"],
+])
 def test_brute_cap_only_where_it_acts(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--brute-cap", "1"])
+        main(argv)
     assert exc.value.code == 2
-    assert "--brute-cap" in capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 def test_diagram_bad_spec(capsys):
@@ -375,9 +375,9 @@ def test_verify_all_solves_each_group_once(capsys, monkeypatch):
     calls = collections.Counter()
     solve = nimgen.theory.solve
 
-    def counting(g, variant, *args, **kwargs):
-        calls[g.label, variant] += 1
-        return solve(g, variant, *args, **kwargs)
+    def counting(spec, variant, *args, **kwargs):
+        calls[spec, variant] += 1
+        return solve(spec, variant, *args, **kwargs)
 
     monkeypatch.setattr(nimgen.theory, "solve", counting)
     code, _, _ = run(capsys, "verify", "--suite", "all")

@@ -61,11 +61,11 @@ def test_permutation_group_subgroups(name, order, subgroups, maximals):
 
 
 def test_s5_general_route():
-    # reference_subgroups takes seconds on S5, so its 156 subgroups are
-    # counted on the walk alone
     g = support.group("S5")
     assert g.order == 120
-    assert len(subgroup_walk(g)) == 156
+    subs = support.walk_subgroups(g)
+    assert len(subs) == 156
+    assert subs == support.reference_subgroups(g)
     maxi = ng.maximal_subgroups(g)
     assert len(maxi) == 22
     assert maxi == support.reference_maximals(g)

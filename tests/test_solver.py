@@ -214,8 +214,8 @@ def test_structure_matches_brute_dng_cells():
 def test_structure_dng_matches_prediction():
     for spec in ng.ABELIAN_CATALOG:
         a = ng.AbelianSpec.from_spec(spec)
-        assert ng.nim_of_game(f"Dih({a.spec_string})", ng.DNG,
-                              mode="structure") == ng.predict_dng_dih(a), spec
+        assert ng.solve(f"Dih({a.spec_string})", ng.DNG,
+                        "structure").nim == ng.predict_dng_dih(a), spec
 
 
 def test_structure_matches_brute_small():
@@ -249,26 +249,51 @@ def test_structure_agrees_with_brute_per_class():
         assert nims.per_class[cid][mask.bit_count() & 1] == nim
 
 
-def test_nim_of_game_modes():
-    assert ng.nim_of_game("Dih(Z5)") == 3
-    assert ng.nim_of_game("Dih(Z5)", mode="brute") == 3
-    assert ng.nim_of_game("Dih(Z5)", mode="structure") == 3
-    assert ng.nim_of_game("Dih(Z9)") == 3  # auto routes large orders to structure
-    assert ng.nim_of_game("Dih(Z6)", ng.DNG) == 0
-    assert ng.nim_of_game("Z4", ng.DNG, mode="structure") == \
-        ng.nim_of_game("Z4", ng.DNG, mode="brute")
-    assert ng.nim_of_game("Dih(Z9)", ng.DNG) == 3  # above the brute cap
+def test_solve_modes_on_specs():
+    assert ng.solve("Dih(Z5)").nim == 3
+    assert ng.solve("Dih(Z5)", mode="brute").nim == 3
+    assert ng.solve("Dih(Z5)", mode="structure").nim == 3
+    assert ng.solve("Dih(Z9)").nim == 3  # auto routes large orders to structure
+    assert ng.solve("Dih(Z6)", ng.DNG).nim == 0
+    assert ng.solve("Z4", ng.DNG, mode="structure").nim == \
+        ng.solve("Z4", ng.DNG, mode="brute").nim
+    assert ng.solve("Dih(Z9)", ng.DNG).nim == 3  # above the brute cap
     with pytest.raises(ValueError):
-        ng.nim_of_game("Z4", mode="bogus")
+        ng.solve("Z4", mode="bogus")
     with pytest.raises(ValueError):
-        ng.nim_of_game("Z1")
+        ng.solve("Z1")
 
 
-def test_nim_of_game_refuses_an_over_cap_spec_unbuilt(monkeypatch):
+def test_solve_refuses_an_over_cap_spec_unbuilt(monkeypatch):
     support.refuse_builds_over(monkeypatch, 1000)
     with pytest.raises(ng.CapacityError,
                        match="capped at order 200, group has order 100000"):
-        ng.nim_of_game("Z100000")
+        ng.solve("Z100000")
+
+
+def _outcome(group, variant, mode):
+    """What ``solve`` gives, or the error it raises, as comparable values."""
+    try:
+        r = ng.solve(group, variant, mode)
+    except (ng.NimgenError, ValueError) as exc:
+        return type(exc), str(exc)
+    return r.nim, r.mode, r.d_g, r.lattice.intersections, r.lattice.group
+
+
+@pytest.mark.parametrize("variant", [ng.GEN, ng.DNG])
+def test_solve_builds_a_spec_as_build_group_does(variant, tmp_path):
+    # brute mode over the brute cap must fail the same way from both inputs
+    for spec in ng.EXTENDED_CATALOG:
+        g = support.group(spec)
+        for mode in ("auto", "brute", "structure"):
+            assert _outcome(spec, variant, mode) == _outcome(g, variant, mode), \
+                (spec, mode)
+    path = tmp_path / "dih5.tbl"
+    path.write_text(ng.to_table_text(support.group("Dih(Z5)")), encoding="utf-8")
+    for spec in (ng.TableFile(str(path)), ng.parse_group_spec("Dih(Z3xZ3)")):
+        for mode in ("auto", "brute", "structure"):
+            assert _outcome(spec, variant, mode) == \
+                _outcome(ng.build_group(spec), variant, mode), (spec, mode)
 
 
 @pytest.mark.parametrize("variant", [ng.GEN, ng.DNG])
@@ -293,7 +318,7 @@ def test_unknown_variant_is_rejected():
     g = support.group("Z2")
     for mode in ("brute", "structure"):
         with pytest.raises(ValueError, match="unknown game"):
-            ng.nim_of_game("Z2", "gen", mode=mode)
+            ng.solve("Z2", "gen", mode=mode)
     with pytest.raises(ValueError, match="unknown game"):
         ng.brute_search(g, "gen")
     with pytest.raises(ValueError, match="unknown game"):
