@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
-from .groups import (GroupTable, check_order_cap, generated_subgroup,
-                     is_abelian, is_nilpotent, iter_mask, mask_of,
-                     prime_factors, span, subgroup_walk)
+from .groups import (GroupTable, check_order_cap, extend_subgroup, is_abelian,
+                     is_nilpotent, iter_mask, mask_of, prime_factors, span,
+                     subgroup_walk)
 
 TERMINAL = -1  # class id of the terminal class (the whole group)
 
@@ -30,31 +30,25 @@ def _by_size(masks) -> tuple[int, ...]:
     return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
 
 
-def _nilpotent_maximals(g: GroupTable, elems: Sequence[int], abelian: bool,
-                        t: int = 0) -> Iterator[list[int]]:
+def _frattini_maximals(g: GroupTable, elems: Sequence[int], abelian: bool
+                       ) -> Iterator[tuple[int, list[int], tuple[int, ...]]]:
     """Maximal subgroups of the nilpotent subgroup A with elements ``elems``
-    (``range(g.order)`` for G itself), from its Frattini quotients: for
-    each maximal M, the list of its cosets in A as masks, M first.  Each
-    coset comes united with its image under right multiplication by ``t``,
-    which for t = e adds nothing.
+    (``range(g.order)`` for G itself), from its Frattini quotients, as
+    ``(mask, elements, generating tuple)`` triples like ``extend_subgroup``'s.
 
     Every maximal subgroup of a nilpotent group is normal of prime index p
     and contains N_p = <commutators, p-th powers>, and A/N_p is an F_p
     vector space (Burnside basis theorem; Holt-Eick-O'Brien, Handbook of
     Computational Group Theory, on the Frattini subgroup).  So the maximals
-    of index p are the preimages of the hyperplanes of A/N_p, where a
-    functional whose first non-zero coefficient is 1 is 0, and its other
-    level sets are their cosets.  No commutator pass runs when A is
-    ``abelian``.  Past the cosets of N_p, the work is on masks alone.  The
-    subgroup covered so far contains N_p, so it is normal, and adjoining a
-    basis element b adds its left translates by b^a, a = 1..p-1: coset k
-    has the base-p digits of k as coordinates, and coordinate i gets one
-    mask per value.  The functionals are walked as a tree, one coordinate
-    per level: adding coordinate j with coefficient a moves level c of the
-    parent, where x_j = d, to level c + a·d, so a child's levels are
-    unions of its parent's ANDed with coordinate j's masks.
+    of index p are the preimages of the hyperplanes of A/N_p.  No
+    commutator pass runs when A is ``abelian``.  The elements that
+    ``extend_subgroup`` adds to N_p to reach A, in index order, are a basis
+    b_1..b_d of A/N_p, and the kernel of the functional with coefficients
+    c, whose first non-zero c_i is 1, is spanned over N_p by b_j for j < i
+    and b_j·b_i^-c_j for j > i.  Kernels that agree on c up to c_j share
+    their span up to b_j, which is built once.
     """
-    mul, inv, commutators = g.mul, g.inv, 1
+    mul, inv, commutators, a = g.mul, g.inv, 1, mask_of(elems)
     if not abelian:
         for x in elems:
             for y in elems:
@@ -66,67 +60,47 @@ def _nilpotent_maximals(g: GroupTable, elems: Sequence[int], abelian: bool,
             for _ in range(p - 1):
                 y = mul[y][x]
             seed |= 1 << y
-        covered = generated_subgroup(g, seed)
-        base = list(iter_mask(covered))
-        if t:
-            base += [mul[z][t] for z in base]
-        cosets, reps = [mask_of(base)], [0]
-        for b in elems:
-            if (covered >> b) & 1:
-                continue
-            old, power = list(reps), 0
-            for _ in range(1, p):
-                power = mul[power][b]
-                for r in old:
-                    x = mul[power][r]
-                    reps.append(x)
-                    cosets.append(mask_of(map(mul[x].__getitem__, base)))
-                    covered |= cosets[-1]
-        values, step = [], 1
-        while step < len(cosets):
-            values.append([0] * p)
-            for k, m in enumerate(cosets):
-                values[-1][k // step % p] |= m
-            step *= p
-        for lead in range(len(values)):
-            stack = [(lead + 1, values[lead])]
-            while stack:
-                j, levels = stack.pop()
-                if j == len(values):
-                    yield levels
-                    continue
-                stack.append((j + 1, levels))
-                for a in range(1, p):
-                    child = [0] * p
-                    for d, vd in enumerate(values[j]):
-                        for c, level in enumerate(levels):
-                            child[(c + a * d) % p] |= level & vd
-                    stack.append((j + 1, child))
+        chain, basis = [span(g, seed)], []  # chain[i] = <N_p, b_1..b_i>
+        while rest := a & ~chain[-1][0]:
+            basis.append((rest & -rest).bit_length() - 1)
+            chain.append(extend_subgroup(g, *chain[-1], basis[-1]))
+        for i, b in enumerate(basis):
+            powers = [0]  # b^-c for c = 0..p-1
+            for _ in range(p - 1):
+                powers.append(mul[powers[-1]][inv[b]])
+            spans = [chain[i]]  # one per choice of the coefficients so far
+            for bj in basis[i + 1:]:
+                spans = [extend_subgroup(g, *m, mul[bj][q])
+                         for m in spans for q in powers]
+            yield from spans
 
 
 def _dih_maximals(g: GroupTable) -> list[int] | None:
     """Maximal subgroups of a non-abelian Dih(A) = A ⋊ <t>, t inverting A,
     or None when G is not one.
 
-    Let A be the span of the non-involutions.  G is a non-abelian Dih(A)
-    exactly when A is non-trivial of index 2 and every element outside A is
-    an involution: then (ta)^2 = e gives t·a·t^-1 = a^-1 for every a in A,
-    so inversion is an automorphism of A and A is abelian.  The maximals
-    are A and, for each maximal M of A, of prime index p, the p subgroups
-    M ∪ M·r·t, one per coset rM: a maximal H ≠ A meets A in some M, t
-    normalizes every subgroup of A, so M is maximal in A, and each such
-    union has prime index.  ``_nilpotent_maximals`` gives each coset rM
-    united with rM·t, so M ∪ M·r·t is the first coset's part inside A with
-    rM's part outside it.
+    Let A be the span of the non-involutions, so that every element outside
+    A is an involution.  G is a non-abelian Dih(A) exactly when A is
+    non-trivial of index 2: then (ta)^2 = e gives t·a·t^-1 = a^-1 for every
+    a in A, so inversion is an automorphism of A and A is abelian.  The
+    maximals are A and, for each maximal M of A, of prime index p, the p
+    subgroups M ∪ M·s, one per coset M·s of M in the reflections: a maximal
+    H ≠ A meets A in some M, every reflection s normalizes every subgroup
+    of A, so M is maximal in A, and each such union has prime index.
     """
     n, mul = g.order, g.mul
     a, elems, _ = span(g, mask_of(x for x in range(n) if mul[x][x]))
-    outside = [x for x in range(n) if not (a >> x) & 1]
-    if n == 2 or 2 * len(elems) != n or any(mul[x][x] for x in outside):
+    if n == 2 or 2 * len(elems) != n:
         return None
-    t, maxi = outside[0], [a]
-    for cosets in _nilpotent_maximals(g, elems, True, t):
-        maxi += [cosets[0] & a | c & ~a for c in cosets]
+    maxi = [a]
+    for m, m_elems, _ in _frattini_maximals(g, elems, True):
+        rest = g.full_mask & ~a  # the reflections in no coset M·s built so far
+        while rest.bit_count() > len(m_elems):
+            s = (rest & -rest).bit_length() - 1
+            coset = mask_of(map(mul[s].__getitem__, m_elems))  # s·M = M·s
+            maxi.append(m | coset)
+            rest &= ~coset
+        maxi.append(m | rest)
     return maxi
 
 
@@ -134,11 +108,12 @@ def maximal_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> t
     """Masks of the maximal subgroups, sorted by size, then by mask.
 
     Three routes, with no subgroup enumeration for the first two.  A
-    non-abelian Dih(A), recognized on the table, takes A and the maximals
-    of A with their cosets through t (``_dih_maximals``).  Nilpotent groups
-    read them off their Frattini quotients.  Other groups walk every
-    subgroup with its joins (``subgroup_walk``): a proper subgroup is
-    maximal exactly when its only join is G.
+    non-abelian Dih(A), recognized on the table, takes A and each maximal
+    M of A united with each of its cosets in the reflections
+    (``_dih_maximals``).  Nilpotent groups read them off their Frattini
+    quotients as spans over N_p (``_frattini_maximals``).  Other groups
+    walk every subgroup with its joins (``subgroup_walk``): a proper
+    subgroup is maximal exactly when its only join is G.
     """
     if g.order < 2:
         raise ValueError("the trivial group has no maximal subgroups")
@@ -146,8 +121,8 @@ def maximal_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> t
     if (dih := _dih_maximals(g)) is not None:
         return _by_size(dih)
     if is_nilpotent(g):
-        return _by_size(cosets[0] for cosets in
-                        _nilpotent_maximals(g, range(g.order), is_abelian(g)))
+        return _by_size(m for m, _, _ in
+                        _frattini_maximals(g, range(g.order), is_abelian(g)))
     return _by_size(h for h, _, joins in subgroup_walk(g) if joins == {g.full_mask})
 
 

@@ -120,12 +120,14 @@ def test_maximals_match_containment_filter():
     # walk; all must agree with the O(S^2) filter, also on relabelled
     # tables whose identity the parser moved to index 0, which take the
     # plain table's filter through the element names.  Z5xZ25, Z7xZ7xZ2
-    # and Z3xZ9xZ5 have p >= 5 with N_p != 1, and Heisenberg(5) is a
-    # non-abelian p-group for an odd p.
+    # and Z3xZ9xZ5 have p >= 5 with N_p != 1, Z5xZ5xZ5 is the one group
+    # within the cap with p >= 5 and rank >= 3, so its hyperplanes have two
+    # trailing coefficients up to 4, and Heisenberg(5) is a non-abelian
+    # p-group for an odd p.
     extra = ("Z2xZ2xZ2xZ2xZ2", "Dih(Z2xZ2xZ2xZ2)", "Z2xZ4xZ8", "Z3xZ3xZ3xZ3",
              "Dih(Z2xZ2xZ4)", "Dih(Z4)xZ3", "Dih(Z4)xDih(Z4)", "Dih(Z2xZ4)xZ5",
              "Dih(Z3xZ6)", "Dih(Z3)xZ4", "A4", "S4", "Z5xZ25", "Z7xZ7xZ2",
-             "Z3xZ9xZ5")
+             "Z3xZ9xZ5", "Z5xZ5xZ5")
     groups = [support.group(spec) for spec in ng.EXTENDED_CATALOG + extra]
     groups += [_heisenberg(3), _heisenberg(5)]
     nilpotent = 0
@@ -139,7 +141,7 @@ def test_maximals_match_containment_filter():
                 h = support.relabelled(g, seed)
                 assert ng.is_nilpotent(h)
                 assert ng.maximal_subgroups(h) == support.carried(want, g, h), spec
-    assert nilpotent == 38
+    assert nilpotent == 39
 
 
 def _non_abelian_dih(limit):
