@@ -4,12 +4,16 @@
 cap unbuilt.  ``verify`` renders the report of ``theory.verify_family``
 or ``theory.verify_suite``, whose counts give the exit code.  All output is
 UTF-8 with LF line endings; wall-time fields are the only nondeterministic part.
+``main`` may be called any number of times in one process: the parser is
+built on the first call and reused, since it holds only constants and each
+``parse_args`` returns a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -219,7 +223,9 @@ def _add_game(p: argparse.ArgumentParser) -> None:
                    help="achievement (gen) or avoidance (dng) game")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, shared by every later call: do not change it."""
     parser = argparse.ArgumentParser(
         prog="nimgen",
         description="Nim values of group generation games.")

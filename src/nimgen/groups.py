@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
@@ -471,14 +472,16 @@ def parse_table_text(text: str, label: str = "") -> GroupTable:
     # Lagrange's theorem, which extend_subgroup relies on.  Its elements
     # all associate, so u*(v*s) = (u*v)*s for u, v in it and a checked s:
     # the closure is the checked elements closed under right products by them.
-    closure, members, checked = 0, [], []
+    # The identity always associates, so it seeds the closure untested, and
+    # at order 1 no row reaches ``itemgetter``, which would return a scalar.
+    closure, members, checked = 1 << identity, [identity], [identity]
     for s in everything:
         if (closure >> s) & 1:
             continue
-        row_s = mul[s]
+        row_s, times_s = mul[s], itemgetter(*mul[s])
         for i, row_i in enumerate(mul):
             row_is = mul[row_i[s]]
-            if row_is != tuple(map(row_i.__getitem__, row_s)):
+            if row_is != times_s(row_i):
                 k = next(k for k in everything if row_is[k] != row_i[row_s[k]])
                 raise TableFormatError(
                     f"associativity fails for triple ({i}, {s}, {k}): "
@@ -495,11 +498,14 @@ def parse_table_text(text: str, label: str = "") -> GroupTable:
                     pending.append(c)
 
     # Re-index so the identity is element 0: swapping 0 and the identity is
-    # its own inverse, so new row k is old row swap[k], relabelled.
+    # its own inverse, so new row k is old row swap[k], relabelled.  A table
+    # with its identity at 0 already is kept, as at order 1, where
+    # ``itemgetter`` would return a scalar.
     swap = list(everything)
     swap[identity], swap[0] = 0, identity
-    new_mul = tuple(tuple(map(swap.__getitem__, map(mul[old].__getitem__, swap)))
-                    for old in swap)
+    relabel = itemgetter(*swap)
+    new_mul = (tuple(itemgetter(*relabel(mul[old]))(swap) for old in swap)
+               if identity else tuple(mul))
     names = tuple(name_overrides.get(old, f"g{old}") for old in swap)
 
     # Each right inverse is two-sided: i*j = e makes j*i idempotent,

@@ -30,10 +30,11 @@ def _by_size(masks) -> tuple[int, ...]:
     return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
 
 
-def _frattini_maximals(g: GroupTable, elems: Sequence[int], abelian: bool
+def _frattini_maximals(g: GroupTable, a: int, elems: Sequence[int],
+                       gens: tuple[int, ...], abelian: bool
                        ) -> Iterator[tuple[int, list[int], tuple[int, ...]]]:
-    """Maximal subgroups of the nilpotent subgroup A with elements ``elems``
-    (``range(g.order)`` for G itself), from its Frattini quotients, as
+    """Maximal subgroups of the nilpotent subgroup A = ``span``'s
+    ``(a, elems, gens)``, from its Frattini quotients, as
     ``(mask, elements, generating tuple)`` triples like ``extend_subgroup``'s.
 
     Every maximal subgroup of a nilpotent group is normal of prime index p
@@ -41,21 +42,23 @@ def _frattini_maximals(g: GroupTable, elems: Sequence[int], abelian: bool
     vector space (Burnside basis theorem; Holt-Eick-O'Brien, Handbook of
     Computational Group Theory, on the Frattini subgroup).  So the maximals
     of index p are the preimages of the hyperplanes of A/N_p.  No
-    commutator pass runs when A is ``abelian``.  The elements that
+    commutator pass runs when A is ``abelian``.  A/[A,A] is abelian, so its
+    p-th powers are spanned by those of the images of ``gens``, and
+    N_p = <commutators, g^p for g in gens>.  The elements that
     ``extend_subgroup`` adds to N_p to reach A, in index order, are a basis
     b_1..b_d of A/N_p, and the kernel of the functional with coefficients
     c, whose first non-zero c_i is 1, is spanned over N_p by b_j for j < i
     and b_j·b_i^-c_j for j > i.  Kernels that agree on c up to c_j share
     their span up to b_j, which is built once.
     """
-    mul, inv, commutators, a = g.mul, g.inv, 1, mask_of(elems)
+    mul, inv, commutators = g.mul, g.inv, 1
     if not abelian:
         for x in elems:
             for y in elems:
                 commutators |= 1 << mul[inv[mul[y][x]]][mul[x][y]]
     for p in prime_factors(len(elems)):
         seed = commutators
-        for x in elems:
+        for x in gens:
             y = x
             for _ in range(p - 1):
                 y = mul[y][x]
@@ -89,11 +92,11 @@ def _dih_maximals(g: GroupTable) -> list[int] | None:
     of A, so M is maximal in A, and each such union has prime index.
     """
     n, mul = g.order, g.mul
-    a, elems, _ = span(g, mask_of(x for x in range(n) if mul[x][x]))
+    a, elems, gens = span(g, mask_of(x for x in range(n) if mul[x][x]))
     if n == 2 or 2 * len(elems) != n:
         return None
     maxi = [a]
-    for m, m_elems, _ in _frattini_maximals(g, elems, True):
+    for m, m_elems, _ in _frattini_maximals(g, a, elems, gens, True):
         rest = g.full_mask & ~a  # the reflections in no coset M·s built so far
         while rest.bit_count() > len(m_elems):
             s = (rest & -rest).bit_length() - 1
@@ -122,7 +125,7 @@ def maximal_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> t
         return _by_size(dih)
     if is_nilpotent(g):
         return _by_size(m for m, _, _ in
-                        _frattini_maximals(g, range(g.order), is_abelian(g)))
+                        _frattini_maximals(g, *span(g, g.full_mask), is_abelian(g)))
     return _by_size(h for h, _, joins in subgroup_walk(g) if joins == {g.full_mask})
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import nimgen as ng
 from nimgen import __version__
-from nimgen.cli import main
+from nimgen.cli import build_parser, main
 
 import support
 
@@ -403,18 +403,23 @@ def test_verify_all_joins_the_suites(capsys):
     }
 
 
+def _child_env():
+    """The environment of a child ``python -m nimgen`` that imports this
+    checkout's nimgen."""
+    src = str(Path(ng.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_broken_pipe_exits_quietly():
     # The read end is closed before the child starts, so its first write
     # fails: exit 2 as for an incomplete run, with no traceback.
-    src = str(Path(ng.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, "-m", "nimgen", "solve", "Z4"],
                               stdout=write_end, stderr=subprocess.PIPE,
-                              env=env, timeout=60)
+                              env=_child_env(), timeout=60)
     finally:
         os.close(write_end)
     assert proc.returncode == 2
@@ -544,3 +549,53 @@ def test_long_digit_run_is_a_spec_error(capsys, command):
     code, out, err = run(capsys, command, "Z" + "9" * 5000)
     assert code == 2
     assert "cyclic group order has too many digits (at position 1)" in out + err
+
+
+# main builds its parser on the first call and reuses it, so no call may
+# leave a trace in the next one made in the same process.
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_verify_game_default_does_not_leak(capsys):
+    # --game dng must not stay set for a suite run, which would then be
+    # refused with "--game applies to specs"
+    assert run(capsys, "verify", "Z7", "--game", "dng")[0] == 0
+    code, out, err = run(capsys, "verify", "--suite", "theorem")
+    fresh = subprocess.run([sys.executable, "-m", "nimgen", "verify", "--suite",
+                            "theorem"], capture_output=True, text=True,
+                           env=_child_env(), timeout=120)
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert code == 0
+
+
+def test_format_default_does_not_leak(capsys):
+    assert run(capsys, "solve", "Dih(Z5)", "--format", "json")[0] == 0
+    code, out, _ = run(capsys, "solve", "Dih(Z5)")
+    assert code == 0
+    assert out.startswith("Dih(Z5)  GEN  *3  order=10")
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["solve", "Z4", "--colour"], 2),
+    (["--version"], 0),
+    (["solve", "--help"], 0),
+])
+def test_main_works_after_argparse_exit(argv, exit_code, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == exit_code
+    capsys.readouterr()
+    code, out, _ = run(capsys, "solve", "Dih(Z5)", "--format", "json")
+    assert code == 0
+    assert normalize_json(out) == (GOLDEN / "solve_dihz5.json").read_text()
+
+
+def test_argparse_error_after_a_call_is_captured(capsys):
+    assert run(capsys, "solve", "Z4")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "Z4", "--format", "xml"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --format: invalid choice: 'xml'" in captured.err

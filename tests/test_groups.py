@@ -419,6 +419,13 @@ def test_table_error_messages(text, message):
     assert str(exc.value) == message
 
 
+def test_order_one_table_is_the_trivial_group():
+    # the one order at which itemgetter, which the parser's row kernels
+    # use, would return a scalar for a row
+    g = ng.parse_table_text("1\n0\n")
+    assert (g.order, g.mul, g.inv) == (1, ((0,),), (0,))
+
+
 def test_table_rejects_nonassociative_above_order_64():
     # Z_n with one intercalate swapped is still a Latin square with
     # identity 0, but no longer associative
