@@ -40,7 +40,6 @@ from .groups import (
     build_group,
     dihedralize,
     direct_product,
-    element_order,
     generated_subgroup,
     is_abelian,
     is_nilpotent,
@@ -109,7 +108,7 @@ __all__ = [
     "build_cyclic", "direct_product", "dihedralize", "build_group",
     "parse_group_spec", "load_table_file",
     "parse_table_text", "to_table_text", "is_abelian", "is_nilpotent",
-    "element_order", "mask_of", "iter_mask", "generated_subgroup",
+    "mask_of", "iter_mask", "generated_subgroup",
     # lattice
     "TERMINAL", "DEFAULT_ORDER_CAP", "IntersectionLattice",
     "maximal_subgroups", "intersection_subgroups", "ceil_class",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import gcd
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Union
@@ -100,15 +99,6 @@ def dihedralize(a: GroupTable) -> GroupTable:
     return GroupTable(order=2 * n, mul=mul, inv=inv, names=names, label=label)
 
 
-def element_order(g: GroupTable, i: int) -> int:
-    """Multiplicative order of element ``i``."""
-    k, x = 1, i
-    while x != 0:
-        x = g.mul[x][i]
-        k += 1
-    return k
-
-
 def prime_factors(n: int) -> set[int]:
     """The primes dividing ``n``."""
     out = set()
@@ -121,17 +111,6 @@ def prime_factors(n: int) -> set[int]:
     if n > 1:
         out.add(n)
     return out
-
-
-def is_nilpotent(g: GroupTable) -> bool:
-    """A finite group is nilpotent iff elements of coprime order commute."""
-    by_order: dict[int, list[int]] = {}
-    for x in range(g.order):
-        by_order.setdefault(element_order(g, x), []).append(x)
-    mul = g.mul
-    return all(mul[x][y] == mul[y][x]
-               for a in by_order for b in by_order if 1 < a < b and gcd(a, b) == 1
-               for x in by_order[a] for y in by_order[b])
 
 
 def generated_subgroup(g: GroupTable, seed: int) -> int:
@@ -182,6 +161,36 @@ def span(g: GroupTable, seed: int) -> tuple[int, list[int], tuple[int, ...]]:
         k, elems, gens = extend_subgroup(g, k, elems, gens, x)
         rest &= ~k
     return k, elems, gens
+
+
+def normal_closure(g: GroupTable, seed: int, gens: tuple[int, ...]
+                   ) -> tuple[int, list[int], tuple[int, ...]]:
+    """Mask, elements and generating tuple of the least subgroup holding
+    ``seed`` that ``gens`` normalize: ``span(g, seed)``, extended by each
+    conjugate s^-1·k·s it misses, for k among its generators and s in ``gens``."""
+    mul, inv = g.mul, g.inv
+    k, elems, k_gens = span(g, seed)
+    for x in (todo := list(k_gens)):  # each generator the closure adds joins todo
+        for s in gens:
+            c = mul[mul[inv[s]][x]][s]
+            if not (k >> c) & 1:
+                k, elems, k_gens = extend_subgroup(g, k, elems, k_gens, c)
+                todo.append(c)
+    return k, elems, k_gens
+
+
+def is_nilpotent(g: GroupTable) -> bool:
+    """G is nilpotent iff its lower central series G = γ_1 ≥ γ_2 ≥ ...
+    reaches 1; it is not if a term repeats first.  γ_{i+1} = [γ_i, G] is
+    the normal closure of the commutators of γ_i's generators with G's."""
+    mul, inv = g.mul, g.inv
+    term, _, gens = span(g, g.full_mask)
+    term_gens, last = gens, 0
+    while term != last:
+        last = term
+        seed = mask_of(mul[inv[mul[s][x]]][mul[x][s]] for x in term_gens for s in gens)
+        term, _, term_gens = normal_closure(g, seed, gens)
+    return term == 1
 
 
 def double_coset(g: GroupTable, elems: list[int], x: int) -> int:

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
-from .groups import (GroupTable, check_order_cap, extend_subgroup, is_abelian,
-                     is_nilpotent, iter_mask, mask_of, prime_factors, span,
+from .groups import (GroupTable, check_order_cap, extend_subgroup, is_nilpotent,
+                     iter_mask, mask_of, normal_closure, prime_factors, span,
                      subgroup_walk)
 
 TERMINAL = -1  # class id of the terminal class (the whole group)
@@ -30,40 +30,33 @@ def _by_size(masks) -> tuple[int, ...]:
     return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
 
 
-def _frattini_maximals(g: GroupTable, a: int, elems: Sequence[int],
-                       gens: tuple[int, ...], abelian: bool
+def _frattini_maximals(g: GroupTable, a: int, elems: Sequence[int], gens: tuple[int, ...]
                        ) -> Iterator[tuple[int, list[int], tuple[int, ...]]]:
     """Maximal subgroups of the nilpotent subgroup A = ``span``'s
     ``(a, elems, gens)``, from its Frattini quotients, as
     ``(mask, elements, generating tuple)`` triples like ``extend_subgroup``'s.
 
     Every maximal subgroup of a nilpotent group is normal of prime index p
-    and contains N_p = <commutators, p-th powers>, and A/N_p is an F_p
-    vector space (Burnside basis theorem; Holt-Eick-O'Brien, Handbook of
-    Computational Group Theory, on the Frattini subgroup).  So the maximals
-    of index p are the preimages of the hyperplanes of A/N_p.  No
-    commutator pass runs when A is ``abelian``.  A/[A,A] is abelian, so its
-    p-th powers are spanned by those of the images of ``gens``, and
-    N_p = <commutators, g^p for g in gens>.  The elements that
+    and contains N_p = A'A^p, so the maximals of index p are the preimages
+    of the hyperplanes of the F_p vector space A/N_p (Burnside basis
+    theorem; Holt-Eick-O'Brien, Handbook of Computational Group Theory, on
+    the Frattini subgroup).  N_p is the normal closure of the commutators
+    and p-th powers of ``gens``: modulo it the generators commute and have
+    order p, and it lies inside A'A^p.  The elements that
     ``extend_subgroup`` adds to N_p to reach A, in index order, are a basis
     b_1..b_d of A/N_p, and the kernel of the functional with coefficients
     c, whose first non-zero c_i is 1, is spanned over N_p by b_j for j < i
     and b_j·b_i^-c_j for j > i.  Kernels that agree on c up to c_j share
     their span up to b_j, which is built once.
     """
-    mul, inv, commutators = g.mul, g.inv, 1
-    if not abelian:
-        for x in elems:
-            for y in elems:
-                commutators |= 1 << mul[inv[mul[y][x]]][mul[x][y]]
+    mul, inv = g.mul, g.inv
+    commutators = mask_of(mul[inv[mul[y][x]]][mul[x][y]] for x in gens for y in gens)
     for p in prime_factors(len(elems)):
-        seed = commutators
-        for x in gens:
-            y = x
-            for _ in range(p - 1):
-                y = mul[y][x]
-            seed |= 1 << y
-        chain, basis = [span(g, seed)], []  # chain[i] = <N_p, b_1..b_i>
+        pth = gens  # the p-th powers of gens, once the loop is done
+        for _ in range(p - 1):
+            pth = [mul[y][x] for y, x in zip(pth, gens)]
+        seed = commutators | mask_of(pth)
+        chain, basis = [normal_closure(g, seed, gens)], []  # chain[i] = <N_p, b_1..b_i>
         while rest := a & ~chain[-1][0]:
             basis.append((rest & -rest).bit_length() - 1)
             chain.append(extend_subgroup(g, *chain[-1], basis[-1]))
@@ -96,7 +89,7 @@ def _dih_maximals(g: GroupTable) -> list[int] | None:
     if n == 2 or 2 * len(elems) != n:
         return None
     maxi = [a]
-    for m, m_elems, _ in _frattini_maximals(g, a, elems, gens, True):
+    for m, m_elems, _ in _frattini_maximals(g, a, elems, gens):
         rest = g.full_mask & ~a  # the reflections in no coset M·s built so far
         while rest.bit_count() > len(m_elems):
             s = (rest & -rest).bit_length() - 1
@@ -124,8 +117,7 @@ def maximal_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> t
     if (dih := _dih_maximals(g)) is not None:
         return _by_size(dih)
     if is_nilpotent(g):
-        return _by_size(m for m, _, _ in
-                        _frattini_maximals(g, *span(g, g.full_mask), is_abelian(g)))
+        return _by_size(m for m, _, _ in _frattini_maximals(g, *span(g, g.full_mask)))
     return _by_size(h for h, _, joins in subgroup_walk(g) if joins == {g.full_mask})
 
 

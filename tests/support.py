@@ -8,6 +8,7 @@ import dataclasses
 import random
 from collections import deque
 from functools import lru_cache
+from math import gcd
 
 import nimgen as ng
 from nimgen.groups import Cyclic, Dih, Product, subgroup_walk
@@ -126,6 +127,21 @@ def reference_closure(g: ng.GroupTable, seed: int) -> int:
     return mask
 
 
+def reference_normal_closure(g: ng.GroupTable, seed: int) -> int:
+    """Mask of the least normal subgroup holding ``seed``: the set with its
+    conjugates by every element, closed by ``reference_closure`` until
+    nothing changes; the reference for ``normal_closure``."""
+    mul, inv = g.mul, g.inv
+    mask = (seed | 1) & g.full_mask
+    while True:
+        conjugates = ng.mask_of(mul[mul[inv[s]][x]][s]
+                                for x in ng.iter_mask(mask) for s in range(g.order))
+        closed = reference_closure(g, mask | conjugates)
+        if closed == mask:
+            return mask
+        mask = closed
+
+
 def reference_brute_search(g: ng.GroupTable, variant: str = ng.GEN) -> dict[int, int]:
     """Memoized nim values of every position reachable from the empty set,
     with one ``reference_closure`` per position: the reference
@@ -201,6 +217,23 @@ def reference_is_abelian(g: ng.GroupTable) -> bool:
     transpose test of ``is_abelian``."""
     mul = g.mul
     return all(mul[i][j] == mul[j][i] for i in range(g.order) for j in range(i + 1, g.order))
+
+
+def reference_is_nilpotent(g: ng.GroupTable) -> bool:
+    """A finite group is nilpotent iff elements of coprime order commute,
+    each order counted by powering: the reference for the lower central
+    series of ``is_nilpotent``."""
+    mul = g.mul
+    by_order: dict[int, list[int]] = {}
+    for x in range(g.order):
+        k, y = 1, x
+        while y != 0:
+            y = mul[y][x]
+            k += 1
+        by_order.setdefault(k, []).append(x)
+    return all(mul[x][y] == mul[y][x]
+               for a in by_order for b in by_order if 1 < a < b and gcd(a, b) == 1
+               for x in by_order[a] for y in by_order[b])
 
 
 def reference_dihedralize(a: ng.GroupTable) -> ng.GroupTable:
@@ -481,6 +514,18 @@ def permutation_table(gens, label: str = "") -> ng.GroupTable:
             for a in elems]
     return ng.parse_table_text(f"{len(elems)}\n" + "\n".join(rows) + "\n",
                                label=label)
+
+
+@lru_cache(maxsize=None)
+def heisenberg(p: int) -> ng.GroupTable:
+    """Upper unitriangular 3x3 matrices over F_p: nilpotent, not abelian."""
+    elems = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
+    index = {e: i for i, e in enumerate(elems)}
+    rows = [" ".join(str(index[(x[0] + y[0]) % p, (x[1] + y[1]) % p,
+                                 (x[2] + y[2] + x[0] * y[1]) % p])
+                     for y in elems) for x in elems]
+    return ng.parse_table_text(f"{len(elems)}\n" + "\n".join(rows) + "\n",
+                               label=f"Heisenberg({p})")
 
 
 def small_orders(limit: int):

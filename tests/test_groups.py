@@ -5,8 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nimgen as ng
-from nimgen.groups import (Cyclic, Dih, Product, TableFile, extend_subgroup, span,
-                           subgroup_walk)
+from nimgen.groups import (Cyclic, Dih, Product, TableFile, extend_subgroup,
+                           normal_closure, span, subgroup_walk)
 
 import support
 
@@ -14,7 +14,7 @@ import support
 def test_cyclic_element_orders():
     g = ng.build_cyclic(4)
     assert g.order == 4
-    assert [ng.element_order(g, i) for i in range(4)] == [1, 4, 2, 4]
+    assert [ng.generated_subgroup(g, 1 << i).bit_count() for i in range(4)] == [1, 4, 2, 4]
 
 
 def test_cyclic_rejects_nonpositive():
@@ -34,7 +34,8 @@ def test_direct_product_orders():
     g = ng.direct_product(ng.build_cyclic(2), ng.build_cyclic(3))
     assert g.order == 6
     assert ng.is_abelian(g)
-    assert sorted(ng.element_order(g, i) for i in range(6)) == [1, 2, 3, 3, 6, 6]
+    orders = sorted(ng.generated_subgroup(g, 1 << i).bit_count() for i in range(6))
+    assert orders == [1, 2, 3, 3, 6, 6]
 
 
 def test_identity_is_index_zero():
@@ -49,14 +50,14 @@ def test_dihedralize_shape():
     assert g.label == "Dih(Z4)"
     assert not ng.is_abelian(g)
     # every element outside the abelian part is an involution
-    assert all(ng.element_order(g, i) == 2 for i in range(4, 8))
+    assert all(ng.generated_subgroup(g, 1 << i).bit_count() == 2 for i in range(4, 8))
 
 
 def test_dihedralize_of_elementary_two_group_is_abelian():
     g = ng.dihedralize(support.group("Z2xZ2xZ2"))
     assert g.order == 16
     assert ng.is_abelian(g)
-    assert all(ng.element_order(g, i) == 2 for i in range(1, 16))
+    assert all(ng.generated_subgroup(g, 1 << i).bit_count() == 2 for i in range(1, 16))
 
 
 def test_dihedralize_requires_abelian():
@@ -158,6 +159,25 @@ def test_span_matches_reference_closure():
         full, elems, gens = span(g, g.full_mask)
         got = extend_subgroup(g, full, elems, gens, n - 1)
         assert got[:2] == (g.full_mask, list(range(n))), g.label
+
+
+def test_normal_closure_matches_reference():
+    # conjugation reads g.inv, so relabelled tables permute the inverses
+    # too; in S4, Dih(Z3xZ6) and Dih(Z4)xDih(Z4) some single elements need
+    # two or more conjugates added to their span
+    groups = [support.group(s) for s in ("A4", "S4", "Dih(Z3xZ6)", "Dih(Z4)xDih(Z4)")]
+    groups.append(support.heisenberg(3))
+    groups += [support.relabelled(g, 1) for g in groups]
+    rng = random.Random(35)
+    for g in groups:
+        gens = span(g, g.full_mask)[2]
+        seeds = [1 << x for x in range(g.order)]
+        seeds += [rng.getrandbits(g.order) for _ in range(5)]
+        for seed in seeds:
+            mask, elems, k_gens = normal_closure(g, seed, gens)
+            assert mask == support.reference_normal_closure(g, seed), (g.label, seed)
+            assert sorted(elems) == list(ng.iter_mask(mask))
+            assert support.reference_closure(g, ng.mask_of(k_gens)) == mask
 
 
 def check_joins(g):

@@ -103,15 +103,19 @@ def test_nilpotency_check():
         assert not ng.is_nilpotent(support.group(spec)), spec
 
 
-def _heisenberg(p):
-    """Upper unitriangular 3x3 matrices over F_p: nilpotent, not abelian."""
-    elems = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
-    index = {e: i for i, e in enumerate(elems)}
-    rows = [" ".join(str(index[(x[0] + y[0]) % p, (x[1] + y[1]) % p,
-                                 (x[2] + y[2] + x[0] * y[1]) % p])
-                     for y in elems) for x in elems]
-    return ng.parse_table_text(f"{len(elems)}\n" + "\n".join(rows) + "\n",
-                               label=f"Heisenberg({p})")
+def test_nilpotency_matches_coprime_order_reference():
+    specs = [a.spec_string for n in range(1, 65) for a in ng.abelian_groups(n)]
+    specs += [f"Dih({a.spec_string})" for n in range(1, 33) for a in ng.abelian_groups(n)]
+    specs += [*support.product_catalog(72), "A4", "S4", "A5", "S5"]
+    groups = [support.group(spec) for spec in specs]
+    groups += [support.heisenberg(3), support.heisenberg(5)]
+    nilpotent = 0
+    for g in groups:
+        want = support.reference_is_nilpotent(g)
+        nilpotent += want
+        for h in (g, support.relabelled(g, 1)):
+            assert ng.is_nilpotent(h) == want, h.label
+    assert (nilpotent, len(groups)) == (138, 215)
 
 
 def test_maximals_match_containment_filter():
@@ -129,7 +133,7 @@ def test_maximals_match_containment_filter():
              "Dih(Z3xZ6)", "Dih(Z3)xZ4", "A4", "S4", "Z5xZ25", "Z7xZ7xZ2",
              "Z3xZ9xZ5", "Z5xZ5xZ5")
     groups = [support.group(spec) for spec in ng.EXTENDED_CATALOG + extra]
-    groups += [_heisenberg(3), _heisenberg(5)]
+    groups += [support.heisenberg(3), support.heisenberg(5)]
     nilpotent = 0
     for g in groups:
         spec = g.label
@@ -219,7 +223,7 @@ def test_dih_solve_enumerates_no_subgroups(a, monkeypatch):
 def test_nilpotent_solve_enumerates_no_subgroups(spec, monkeypatch):
     # non-abelian and nilpotent, so not a Dih(A): the Frattini-quotient
     # route, checked against the state search, which walks on its own
-    g = _heisenberg(3) if spec == "Heisenberg(3)" else support.group(spec)
+    g = support.heisenberg(3) if spec == "Heisenberg(3)" else support.group(spec)
     assert lattice._dih_maximals(g) is None and ng.is_nilpotent(g)
     want = {v: ng.brute_nim(g, v, brute_cap=g.order) for v in (ng.GEN, ng.DNG)}
     _refuse_walk(monkeypatch)
@@ -401,13 +405,13 @@ def test_class_parity():
     assert ng.class_parity(z7, ng.TERMINAL) == 1
 
 
-def test_class_options_dihz4():
+def test_options_dihz4():
     lat = support.lattice("Dih(Z4)")
     assert lat.options == ((1, 2, 3), (ng.TERMINAL,), (ng.TERMINAL,),
                            (ng.TERMINAL,))
 
 
-def test_class_edges_dihz4():
+def test_edges_dihz4():
     assert set(support.edges("Dih(Z4)")) == {
         (0, 1), (0, 2), (0, 3),
         (1, ng.TERMINAL), (2, ng.TERMINAL), (3, ng.TERMINAL),

@@ -31,7 +31,7 @@ def _per_mask(g):
     return [delta[support.reference_closure(g, m)] for m in range(1 << g.order)]
 
 
-def test_exhaustive_map_z4():
+def test_subgroup_deficiencies_z4():
     assert _subgroup_deficiencies(support.group("Z4")) == {
         0b0001: 1, 0b0101: 1, 0b1111: 0}
     delta = _per_mask(support.group("Z4"))
@@ -44,7 +44,7 @@ def test_exhaustive_map_z4():
 
 
 @pytest.mark.parametrize("spec", ["Z12", "Z13", "Dih(Z6)", "Dih(Z7)", "Z2xZ2xZ3"])
-def test_exhaustive_map_matches_reference(spec):
+def test_subgroup_deficiencies_match_reference(spec):
     g = support.group(spec)
     assert _per_mask(g) == support.reference_deficiency_map(g)
 
