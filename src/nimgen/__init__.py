@@ -42,7 +42,6 @@ from .groups import (
     direct_product,
     generated_subgroup,
     is_abelian,
-    is_nilpotent,
     iter_mask,
     load_table_file,
     mask_of,
@@ -107,7 +106,7 @@ __all__ = [
     "GroupTable", "Cyclic", "Product", "Dih", "TableFile", "GroupSpec",
     "build_cyclic", "direct_product", "dihedralize", "build_group",
     "parse_group_spec", "load_table_file",
-    "parse_table_text", "to_table_text", "is_abelian", "is_nilpotent",
+    "parse_table_text", "to_table_text", "is_abelian",
     "mask_of", "iter_mask", "generated_subgroup",
     # lattice
     "TERMINAL", "DEFAULT_ORDER_CAP", "IntersectionLattice",

@@ -168,14 +168,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        lo, hi = int(lo), int(hi)
-        if lo > hi:
-            raise ValueError(text)
-        return lo, hi
-    n = int(text)
-    return n, n
+    lo, _, hi = text.partition("..")
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise ValueError(text)
+    return lo, hi
 
 
 def cmd_table(args: argparse.Namespace) -> int:

@@ -179,20 +179,6 @@ def normal_closure(g: GroupTable, seed: int, gens: tuple[int, ...]
     return k, elems, k_gens
 
 
-def is_nilpotent(g: GroupTable) -> bool:
-    """G is nilpotent iff its lower central series G = γ_1 ≥ γ_2 ≥ ...
-    reaches 1; it is not if a term repeats first.  γ_{i+1} = [γ_i, G] is
-    the normal closure of the commutators of γ_i's generators with G's."""
-    mul, inv = g.mul, g.inv
-    term, _, gens = span(g, g.full_mask)
-    term_gens, last = gens, 0
-    while term != last:
-        last = term
-        seed = mask_of(mul[inv[mul[s][x]]][mul[x][s]] for x in term_gens for s in gens)
-        term, _, term_gens = normal_closure(g, seed, gens)
-    return term == 1
-
-
 def double_coset(g: GroupTable, elems: list[int], x: int) -> int:
     """Mask of the double coset HxH of the subgroup H with elements
     ``elems``, built one left coset a·x·H at a time."""

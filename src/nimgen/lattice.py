@@ -15,11 +15,10 @@ holding it, and a class's intent is the set of maximals holding its carrier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .groups import (GroupTable, check_order_cap, extend_subgroup, is_nilpotent,
-                     iter_mask, mask_of, normal_closure, prime_factors, span,
-                     subgroup_walk)
+from .groups import (GroupTable, check_order_cap, extend_subgroup, iter_mask,
+                     mask_of, normal_closure, prime_factors, span, subgroup_walk)
 
 TERMINAL = -1  # class id of the terminal class (the whole group)
 
@@ -31,31 +30,43 @@ def _by_size(masks) -> tuple[int, ...]:
 
 
 def _frattini_maximals(g: GroupTable, a: int, elems: Sequence[int], gens: tuple[int, ...]
-                       ) -> Iterator[tuple[int, list[int], tuple[int, ...]]]:
-    """Maximal subgroups of the nilpotent subgroup A = ``span``'s
-    ``(a, elems, gens)``, from its Frattini quotients, as
-    ``(mask, elements, generating tuple)`` triples like ``extend_subgroup``'s.
+                       ) -> list[tuple[int, list[int], tuple[int, ...]]] | None:
+    """Maximal subgroups of the subgroup A = ``span``'s ``(a, elems, gens)``,
+    from its Frattini quotients, as ``(mask, elements, generating tuple)``
+    triples like ``extend_subgroup``'s, or None when A is not nilpotent.
 
-    Every maximal subgroup of a nilpotent group is normal of prime index p
-    and contains N_p = A'A^p, so the maximals of index p are the preimages
-    of the hyperplanes of the F_p vector space A/N_p (Burnside basis
-    theorem; Holt-Eick-O'Brien, Handbook of Computational Group Theory, on
-    the Frattini subgroup).  N_p is the normal closure of the commutators
-    and p-th powers of ``gens``: modulo it the generators commute and have
-    order p, and it lies inside A'A^p.  The elements that
-    ``extend_subgroup`` adds to N_p to reach A, in index order, are a basis
-    b_1..b_d of A/N_p, and the kernel of the functional with coefficients
-    c, whose first non-zero c_i is 1, is spanned over N_p by b_j for j < i
-    and b_j·b_i^-c_j for j > i.  Kernels that agree on c up to c_j share
-    their span up to b_j, which is built once.
+    A is nilpotent iff its lower central series reaches 1 before a term
+    repeats: γ_2 = A' is the normal closure of the commutators of ``gens``,
+    γ_{i+1} that of γ_i's generators' commutators with ``gens``.  Every
+    maximal of a nilpotent group is normal of prime index p and contains
+    N_p = A'A^p, so the maximals of index p are the preimages of the
+    hyperplanes of the F_p vector space A/N_p (Burnside basis theorem;
+    Holt-Eick-O'Brien, Handbook of Computational Group Theory, on the
+    Frattini subgroup).  N_p is the normal closure of A' and the p-th
+    powers of ``gens``: modulo it the generators commute and have order p,
+    and it lies inside A'A^p.  The elements that ``extend_subgroup`` adds
+    to N_p to reach A, in index order, are a basis b_1..b_d of A/N_p, and
+    the kernel of the functional with coefficients c, whose first non-zero
+    c_i is 1, is spanned over N_p by b_j for j < i and b_j·b_i^-c_j for
+    j > i.  Kernels that agree on c up to c_j share their span up to b_j,
+    which is built once.
     """
     mul, inv = g.mul, g.inv
-    commutators = mask_of(mul[inv[mul[y][x]]][mul[x][y]] for x in gens for y in gens)
+
+    def commutators(xs):
+        return mask_of(mul[inv[mul[y][x]]][mul[x][y]] for x in xs for y in gens)
+
+    derived = term = normal_closure(g, commutators(gens), gens)
+    while term[0] != 1:
+        last, term = term[0], normal_closure(g, commutators(term[2]), gens)
+        if term[0] == last:
+            return None
+    maxi = []
     for p in prime_factors(len(elems)):
         pth = gens  # the p-th powers of gens, once the loop is done
         for _ in range(p - 1):
             pth = [mul[y][x] for y, x in zip(pth, gens)]
-        seed = commutators | mask_of(pth)
+        seed = mask_of((*derived[2], *pth))
         chain, basis = [normal_closure(g, seed, gens)], []  # chain[i] = <N_p, b_1..b_i>
         while rest := a & ~chain[-1][0]:
             basis.append((rest & -rest).bit_length() - 1)
@@ -68,7 +79,8 @@ def _frattini_maximals(g: GroupTable, a: int, elems: Sequence[int], gens: tuple[
             for bj in basis[i + 1:]:
                 spans = [extend_subgroup(g, *m, mul[bj][q])
                          for m in spans for q in powers]
-            yield from spans
+            maxi += spans
+    return maxi
 
 
 def _dih_maximals(g: GroupTable) -> list[int] | None:
@@ -85,8 +97,10 @@ def _dih_maximals(g: GroupTable) -> list[int] | None:
     of A, so M is maximal in A, and each such union has prime index.
     """
     n, mul = g.order, g.mul
+    if n == 2 or n & 1:  # a non-abelian Dih(A) has even order above 2
+        return None
     a, elems, gens = span(g, mask_of(x for x in range(n) if mul[x][x]))
-    if n == 2 or 2 * len(elems) != n:
+    if 2 * len(elems) != n:
         return None
     maxi = [a]
     for m, m_elems, _ in _frattini_maximals(g, a, elems, gens):
@@ -107,17 +121,19 @@ def maximal_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP) -> t
     non-abelian Dih(A), recognized on the table, takes A and each maximal
     M of A united with each of its cosets in the reflections
     (``_dih_maximals``).  Nilpotent groups read them off their Frattini
-    quotients as spans over N_p (``_frattini_maximals``).  Other groups
-    walk every subgroup with its joins (``subgroup_walk``): a proper
-    subgroup is maximal exactly when its only join is G.
+    quotients as spans over N_p, each built from G' (``_frattini_maximals``).
+    That route follows G's lower central series from G' and refuses the
+    group when a term repeats before 1; such a group walks every subgroup
+    with its joins (``subgroup_walk``): a proper subgroup is maximal
+    exactly when its only join is G.
     """
     if g.order < 2:
         raise ValueError("the trivial group has no maximal subgroups")
     check_order_cap(g.order, order_cap)
     if (dih := _dih_maximals(g)) is not None:
         return _by_size(dih)
-    if is_nilpotent(g):
-        return _by_size(m for m, _, _ in _frattini_maximals(g, *span(g, g.full_mask)))
+    if (maxi := _frattini_maximals(g, *span(g, g.full_mask))) is not None:
+        return _by_size(m for m, _, _ in maxi)
     return _by_size(h for h, _, joins in subgroup_walk(g) if joins == {g.full_mask})
 
 

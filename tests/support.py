@@ -222,7 +222,7 @@ def reference_is_abelian(g: ng.GroupTable) -> bool:
 def reference_is_nilpotent(g: ng.GroupTable) -> bool:
     """A finite group is nilpotent iff elements of coprime order commute,
     each order counted by powering: the reference for the lower central
-    series of ``is_nilpotent``."""
+    series that ``lattice._frattini_maximals`` follows to refuse a group."""
     mul = g.mul
     by_order: dict[int, list[int]] = {}
     for x in range(g.order):
@@ -547,5 +547,5 @@ def product_catalog(order_cap: int):
               if a.order >= 2 and b.order >= 2 and 4 * a.order * b.order <= order_cap]
     for spec in specs:
         g = ng.build_group(spec)
-        if _dih_maximals(g) is None and not ng.is_nilpotent(g):
+        if _dih_maximals(g) is None and not reference_is_nilpotent(g):
             yield spec

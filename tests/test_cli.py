@@ -135,7 +135,8 @@ def test_table_brute_mode(capsys):
 
 def test_table_reversed_range_is_rejected(capsys):
     # a reversed range once printed only the CSV header and exited 0
-    for text in ("5..3", "5..4"):
+    # the bare form N is no range: A..A gives one group
+    for text in ("5..3", "5..4", "5"):
         code, out, err = run(capsys, "table", "Dih(Zn)", "--n", text)
         assert code == 2
         assert out == ""
@@ -228,6 +229,13 @@ def test_negative_caps_rejected(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {argv[-2]}: must be at least 0, got {argv[-1]}" in err
+
+
+def test_non_integer_cap_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "Z4", "--order-cap", "x"])
+    assert exc.value.code == 2
+    assert "argument --order-cap: invalid int value: 'x'" in capsys.readouterr().err
 
 
 def test_zero_caps_accepted(capsys):
@@ -325,6 +333,31 @@ def test_verify_deficiency_suite_json(capsys):
     checks = payload["checks"]
     assert [c["name"] for c in checks] == ["deficiency-oracle"] * 29
     assert all(c["violations"] == [] for c in checks)
+
+
+def test_verify_reports_a_wrong_prediction(capsys, monkeypatch):
+    predict = ng.theory.predict_gen_dih
+    monkeypatch.setattr(ng.theory, "predict_gen_dih",
+                        lambda a: predict(a) + (a.spec_string == "Z4"))
+    code, out, _ = run(capsys, "verify", "Z4", "Z3")
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL Dih(Z4)  GEN  computed=*0 predicted=*1 d(Dih)=2 d(A)=1 frattini=ok",
+        "ok   Dih(Z3)  GEN  *3 (predicted *3, d(Dih)=2, d(A)=1)",
+        "verify: 1 ok, 1 failed, 0 skipped"]
+    code, out, _ = run(capsys, "verify", "Z4", "Z3", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["exitCode"] == 1
+
+
+def test_verify_reports_a_failed_check(capsys, monkeypatch):
+    monkeypatch.setitem(ng.theory._ODD_TYPES, 1, (1, 2, 0))
+    code, out, _ = run(capsys, "verify", "--suite", "odd-lemmas")
+    assert code == 1
+    assert ("FAIL odd-case-pattern  Dih(Z5)  1 violations\n"
+            "     - odd class 6 at deficiency 1 has type (1, 2, 1), expected (1, 2, 0)\n"
+            in out)
+    assert out.endswith("verify: 6 ok, 6 failed, 0 skipped\n")
 
 
 def test_verify_capacity_exit(capsys):

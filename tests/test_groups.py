@@ -236,7 +236,8 @@ def test_parse_simple_specs():
     assert ng.parse_group_spec("Z2xZ3xZ4") == Product(Product(Cyclic(2), Cyclic(3)), Cyclic(4))
 
 
-@pytest.mark.parametrize("bad", ["", "Z0", "Zx", "Dih(Z3", "Z3)", "Dih()", "xZ3", "Z3x"])
+@pytest.mark.parametrize("bad", ["", "Z0", "Zx", "Dih(Z3", "Z3)", "Dih()", "xZ3", "Z3x",
+                                 "Dih Z3", "Dih", "table:"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ng.SpecParseError) as exc:
         ng.parse_group_spec(bad)

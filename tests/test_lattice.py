@@ -5,7 +5,7 @@ import pytest
 
 import nimgen as ng
 from nimgen import lattice
-from nimgen.groups import prime_factors, subgroup_walk
+from nimgen.groups import prime_factors, span, subgroup_walk
 
 import support
 
@@ -51,7 +51,7 @@ def test_permutation_group_subgroups(name, order, subgroups, maximals):
     # A5 is not soluble: the walk needs no solubility
     g = support.permutation_table(support.PERMUTATION_GROUPS[name], name)
     assert g.order == order
-    assert not ng.is_nilpotent(g)
+    assert not support.reference_is_nilpotent(g)
     subs = support.walk_subgroups(g)
     assert len(subs) == subgroups
     assert subs == support.reference_subgroups(g)
@@ -95,27 +95,26 @@ def test_maximals_of_z6():
     assert sorted(m.bit_count() for m in maxs) == [2, 3]
 
 
-def test_nilpotency_check():
-    for spec in ("Dih(Z4)", "Z2xZ2xZ2xZ2xZ2", "Z12", "Dih(Z2xZ2xZ2)", "Z2xZ4xZ8"):
-        assert ng.is_nilpotent(support.group(spec)), spec
-    # Dih(Z3) is S3
-    for spec in ("Dih(Z3)", "Dih(Z2xZ3)", "Dih(Z6)", "Dih(Z12)", "Dih(Z5xZ5)"):
-        assert not ng.is_nilpotent(support.group(spec)), spec
-
-
-def test_nilpotency_matches_coprime_order_reference():
+def test_nilpotency_matches_coprime_order_reference(monkeypatch):
+    # the Frattini route refuses exactly the groups that are not nilpotent,
+    # and takes every other one without the walk, which would give the
+    # same maximals; Dih(Z2xZ3) is another table of Dih(Z6)
     specs = [a.spec_string for n in range(1, 65) for a in ng.abelian_groups(n)]
     specs += [f"Dih({a.spec_string})" for n in range(1, 33) for a in ng.abelian_groups(n)]
-    specs += [*support.product_catalog(72), "A4", "S4", "A5", "S5"]
+    specs += [*support.product_catalog(72), "A4", "S4", "A5", "S5", "Dih(Z2xZ3)"]
     groups = [support.group(spec) for spec in specs]
     groups += [support.heisenberg(3), support.heisenberg(5)]
+    _refuse_walk(monkeypatch)
     nilpotent = 0
     for g in groups:
         want = support.reference_is_nilpotent(g)
         nilpotent += want
         for h in (g, support.relabelled(g, 1)):
-            assert ng.is_nilpotent(h) == want, h.label
-    assert (nilpotent, len(groups)) == (138, 215)
+            route = lattice._frattini_maximals(h, *span(h, h.full_mask))
+            assert (route is not None) == want, h.label
+            if want and h.order > 1:
+                ng.maximal_subgroups(h)
+    assert (nilpotent, len(groups)) == (138, 216)
 
 
 def test_maximals_match_containment_filter():
@@ -139,11 +138,11 @@ def test_maximals_match_containment_filter():
         spec = g.label
         want = support.reference_maximals(g)
         assert ng.maximal_subgroups(g) == want, spec
-        if ng.is_nilpotent(g):
+        if support.reference_is_nilpotent(g):
             nilpotent += 1
             for seed in (1, 2):
                 h = support.relabelled(g, seed)
-                assert ng.is_nilpotent(h)
+                assert support.reference_is_nilpotent(h)
                 assert ng.maximal_subgroups(h) == support.carried(want, g, h), spec
     assert nilpotent == 39
 
@@ -224,7 +223,7 @@ def test_nilpotent_solve_enumerates_no_subgroups(spec, monkeypatch):
     # non-abelian and nilpotent, so not a Dih(A): the Frattini-quotient
     # route, checked against the state search, which walks on its own
     g = support.heisenberg(3) if spec == "Heisenberg(3)" else support.group(spec)
-    assert lattice._dih_maximals(g) is None and ng.is_nilpotent(g)
+    assert lattice._dih_maximals(g) is None and support.reference_is_nilpotent(g)
     want = {v: ng.brute_nim(g, v, brute_cap=g.order) for v in (ng.GEN, ng.DNG)}
     _refuse_walk(monkeypatch)
     for variant in (ng.GEN, ng.DNG):
@@ -307,7 +306,7 @@ def _reference_lattices():
     for spec in _REFERENCE_SPECS:
         g = support.group(spec)
         out.append((g, support.lattice(spec)))
-        if ng.is_nilpotent(g):
+        if support.reference_is_nilpotent(g):
             for seed in (1, 2):
                 h = support.relabelled(g, seed)
                 out.append((h, ng.intersection_subgroups(h)))

@@ -263,6 +263,46 @@ def test_odd_case_checks():
         assert ng.check_odd_case_lemmas(dg, dt, subject=spec).ok
 
 
+def test_even_type_table_flags_each_wrong_even_nim():
+    for spec, count in (("Dih(Z4)", 4), ("Dih(Z6)", 13), ("Z2xZ2xZ2", 14)):
+        g, lat = support.group(spec), support.lattice(spec)
+        dt, nims = support.deficiencies(spec), support.nims(spec)
+        even = [cid for cid in range(len(lat.intersections))
+                if ng.class_parity(lat, cid) == 0]
+        assert len(even) == count, spec
+        for cid in even:
+            per_class = dict(nims.per_class)
+            even_nim, odd_nim = per_class[cid]
+            per_class[cid] = (even_nim + 1, odd_nim)
+            report = ng.check_even_type_table(
+                g, lat, dt, dataclasses.replace(nims, per_class=per_class))
+            assert [v.split(" at ")[0] for v in report.violations] == [f"class {cid}"]
+
+
+@pytest.mark.parametrize("spec, classes, odd", [
+    ("Dih(Z3xZ3)", 27, 6), ("Dih(Z5)", 7, 2), ("Dih(Z9)", 5, 2)])
+def test_odd_case_checks_flag_each_wrong_class(spec, classes, odd):
+    dg, dt = support.digraph(spec), support.deficiencies(spec)
+    assert len(dt.per_class) == classes + 1
+    for cid in range(classes):
+        per_class = dict(dt.per_class)
+        per_class[cid] += 1
+        wrong = dataclasses.replace(dt, per_class=per_class)
+        assert not ng.check_option_deficiency(dg, wrong, subject=spec).ok, cid
+        assert not ng.check_odd_case_lemmas(dg, wrong, subject=spec).ok, cid
+    odd_classes = [v for v in dg.vertices if v.cid != ng.TERMINAL and v.parity]
+    assert len(odd_classes) == odd
+    for v in odd_classes:
+        vtype = v.vtype._replace(even_nim=v.vtype.even_nim + 1)
+        vertices = list(dg.vertices)
+        vertices[v.cid] = dataclasses.replace(v, vtype=vtype)
+        report = ng.check_odd_case_lemmas(
+            dataclasses.replace(dg, vertices=tuple(vertices)), dt, subject=spec)
+        assert [x for x in report.violations if " has type " in x] == [
+            f"odd class {v.cid} at deficiency {dt.per_class[v.cid]} has type "
+            f"{tuple(vtype)}, expected {tuple(v.vtype)}"]
+
+
 def test_dihedralization_identities():
     # d goes up by one and the Frattini carrier is unchanged
     for spec in ("Z4", "Z2xZ2", "Z3xZ3", "Z12"):
