@@ -198,28 +198,64 @@ def subgroup_walk(g: GroupTable) -> list[tuple[int, int, set[int]]]:
     the fewest elements that generate H, and the joins are the subgroups
     <H, x> for x outside H.
 
-    One breadth-first walk from the trivial subgroup.  <H, x> = <H, y> for
-    every y in the double coset HxH, so each double coset costs one
-    ``extend_subgroup`` of the elements and generating tuple H was found
-    with.  A chain of joins is a generating tuple and an irredundant
-    generating tuple is a chain of joins, so the walk reaches every subgroup
-    and H's depth is d(H).
+    One breadth-first walk from the trivial subgroup.  Before it closes a
+    join <H, x>, the walk looks for it among the subgroups found so far: a
+    found S holding H and x is <H, x> when (a) |S| = p·|H| for a prime p,
+    since Lagrange leaves nothing strictly between H and S, or (b) |S| =
+    |H|·|<x>| / |H ∩ <x>|, the size of the product set H<x> ⊆ <H, x> ⊆ S.
+    In an abelian group <H, x> = H<x>, so there every found join is found
+    this way.  A miss costs one ``extend_subgroup`` of the elements and
+    generating tuple H was found with.  Then the walk drops the elements y
+    with <H, y> = <H, x>: all of <H, x> when its index over H is prime, by
+    (a), and the double coset HxH otherwise.  A chain of joins is a
+    generating tuple and an irredundant generating tuple is a chain of
+    joins, so the walk reaches every subgroup and H's depth is d(H).
     """
-    full = g.full_mask
+    n, full, mul = g.order, g.full_mask, g.mul
+    primes = prime_factors(n)
+    cyclic = []  # the mask of <x>, one power at a time
+    for x in range(n):
+        c, t = 1, x
+        while t:
+            c, t = c | 1 << t, mul[t][x]
+        cyclic.append(c)
+    # bit i of sig[e] is set when queue[i], the i-th subgroup found, holds
+    # e, and by_size maps a size to the bits of the subgroups of that size
+    sig, by_size = [1] + [0] * (n - 1), {1: 1}
     depth = {1: 0}
     joins: dict[int, set[int]] = {}
     queue: list[tuple[int, list[int], tuple[int, ...]]] = [(1, [0], ())]
     for h, elems, gens in queue:
         out = joins[h] = set()
+        size = len(elems)
+        over = (1 << len(queue)) - 1  # the found subgroups that hold H
+        for s in gens:
+            over &= sig[s]
+        # the found subgroups of prime index over H; one found from H takes
+        # all its elements out of rest, so it needs no bit here
+        near = 0
+        for p in primes:
+            near |= by_size.get(p * size, 0)
         rest = full & ~h
         while rest:
             x = (rest & -rest).bit_length() - 1
-            k, k_elems, k_gens = extend_subgroup(g, h, elems, gens, x)
-            if k not in depth:
-                depth[k] = depth[h] + 1
-                queue.append((k, k_elems, k_gens))
+            c = cyclic[x]
+            hit = over & sig[x] & (
+                near | by_size.get(size * c.bit_count() // (h & c).bit_count(), 0))
+            if hit:
+                k = queue[hit.bit_length() - 1][0]
+            else:
+                k, k_elems, k_gens = extend_subgroup(g, h, elems, gens, x)
+                if k not in depth:
+                    depth[k] = depth[h] + 1
+                    bit = 1 << len(queue)
+                    queue.append((k, k_elems, k_gens))
+                    for e in k_elems:
+                        sig[e] |= bit
+                    by_size[len(k_elems)] = by_size.get(len(k_elems), 0) | bit
+                    over |= bit
             out.add(k)
-            rest &= ~double_coset(g, elems, x)
+            rest &= ~(k if k.bit_count() // size in primes else double_coset(g, elems, x))
     return [(h, depth[h], joins[h])
             for h in sorted(depth, key=int.bit_count, reverse=True)]
 

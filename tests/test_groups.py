@@ -204,17 +204,25 @@ def check_joins(g):
 
 
 # A4 and S4 have non-normal subgroups whose double cosets HxH span several
-# left cosets xH.
-@pytest.mark.parametrize("spec", ["Z12", "Dih(Z6)", "Z2xZ2xZ2", "A4", "S4"])
+# left cosets xH.  Z16 finds joins of composite index by their product
+# size, the Dih(A) here have dihedral joins of composite index, and in
+# Dih(Z3)xDih(Z3) some lookups miss and fall back to a closure.
+@pytest.mark.parametrize("spec", ["Z12", "Dih(Z6)", "Z2xZ2xZ2", "A4", "S4", "Z16",
+                                  "Dih(Z8)", "Dih(Z9)", "Dih(Z2xZ4)", "Dih(Z3)xDih(Z3)"])
 def test_subgroup_joins_match_closures(spec):
     check_joins(support.group(spec))
+
+
+def test_subgroup_joins_of_heisenberg():
+    check_joins(support.heisenberg(3))
 
 
 # The walk starts from the trivial subgroup alone, so no subgroup is left to
 # a greedy generating tuple: each one is a join of a subgroup one level below
 # it, and d(H) is never more than the tuple ``span`` builds for H.
 @pytest.mark.parametrize("spec, seed", [("A4", None), ("S4", None),
-                                        ("Dih(Z3xZ6)", 3)])
+                                        ("Dih(Z3xZ6)", 3), ("Dih(Z9)", 2),
+                                        ("Dih(Z3)xDih(Z3)", 2)])
 def test_subgroup_joins_of_unreached_subgroups(spec, seed):
     g = support.group(spec)
     if seed is not None:
@@ -236,12 +244,28 @@ def test_parse_simple_specs():
     assert ng.parse_group_spec("Z2xZ3xZ4") == Product(Product(Cyclic(2), Cyclic(3)), Cyclic(4))
 
 
-@pytest.mark.parametrize("bad", ["", "Z0", "Zx", "Dih(Z3", "Z3)", "Dih()", "xZ3", "Z3x",
-                                 "Dih Z3", "Dih", "table:"])
-def test_parse_rejects_malformed(bad):
+EXPECTED_ATOM = "expected 'Z<n>', 'Dih(...)' or 'table:<path>'"
+
+
+@pytest.mark.parametrize("bad, message, position", [
+    pytest.param(bad, message, position, id=bad) for bad, message, position in [
+        ("", EXPECTED_ATOM, 0),
+        ("xZ3", EXPECTED_ATOM, 0),
+        ("Dih()", EXPECTED_ATOM, 4),
+        ("Z3x", EXPECTED_ATOM, 3),
+        ("Z0", "cyclic group order must be at least 1", 1),
+        ("Zx", "expected digits after 'Z'", 1),
+        ("Dih(Z3", "expected ')'", 6),
+        ("Z3)", "unexpected trailing input", 2),
+        ("Dih Z3", "expected '(' after 'Dih'", 4),
+        ("Dih", "expected '(' after 'Dih'", 3),
+        ("table:", "empty path after 'table:'", 6),
+    ]])
+def test_parse_rejects_malformed(bad, message, position):
     with pytest.raises(ng.SpecParseError) as exc:
         ng.parse_group_spec(bad)
-    assert exc.value.position >= 0
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert exc.value.position == position
 
 
 @pytest.mark.parametrize("spec, position", [("Z{}", 1), ("Dih(Z2xZ{})", 8)])
