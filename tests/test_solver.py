@@ -137,11 +137,8 @@ def test_product_catalog_up_to_72():
                 check_brute_states(h, lat, variant)
 
 
-def test_walk_closes_each_new_subgroup_once(monkeypatch):
-    # The walk looks each join up among the subgroups it has found before it
-    # closes one, so it never makes more closures than there are pairs
-    # (subgroup H, double coset HxH outside H), and in abelian groups and
-    # Dih(A) it makes exactly one per subgroup other than the trivial one.
+def counting_extensions(monkeypatch):
+    # Patch groups.extend_subgroup to record each (H, x) it closes.
     import nimgen.groups
 
     calls = []
@@ -151,29 +148,45 @@ def test_walk_closes_each_new_subgroup_once(monkeypatch):
         calls.append((h, x))
         return extend(g, h, elems, gens, x)
 
-    def double_cosets(g):
-        mul, count = g.mul, 0
-        for h, _, _ in subgroup_walk(g):
-            rest = g.full_mask & ~h
-            while rest:
-                x = (rest & -rest).bit_length() - 1
-                rest &= ~ng.mask_of(mul[mul[a][x]][b]
-                                    for a in ng.iter_mask(h) for b in ng.iter_mask(h))
-                count += 1
-        return count
+    monkeypatch.setattr(nimgen.groups, "extend_subgroup", counting)
+    return calls
 
+
+def double_cosets(g):
+    # The number of pairs (subgroup H, double coset HxH outside H).
+    mul, count = g.mul, 0
+    for h, _, _ in subgroup_walk(g):
+        rest = g.full_mask & ~h
+        while rest:
+            x = (rest & -rest).bit_length() - 1
+            rest &= ~ng.mask_of(mul[mul[a][x]][b]
+                                for a in ng.iter_mask(h) for b in ng.iter_mask(h))
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("variant", [ng.GEN, ng.DNG])
+def test_brute_search_closes_each_join_once(variant, monkeypatch):
+    # The walk looks each join up among the subgroups it has found before it
+    # closes one, so on Dih(Z13) it makes one closure per subgroup other than
+    # the trivial one, well under the 104 double cosets HxH outside H.
     g = support.group("Dih(Z13)")
+    assert double_cosets(g) == 104
+    walked = len(subgroup_walk(g))
+    calls = counting_extensions(monkeypatch)
+    # the 41 non-generating states, the same keys in either game
+    assert len(ng.brute_search(g, variant, brute_cap=g.order)) == 41
+    assert len(calls) == walked - 1 == 15
+
+
+def test_walk_closes_each_new_subgroup_once(monkeypatch):
+    # In abelian groups and Dih(A) the walk makes exactly one closure per
+    # subgroup other than the trivial one; elsewhere it never makes more
+    # closures than there are double cosets.
     others = [support.group(s) for s in ("A4", "S4", "Dih(Z3)xDih(Z3)")]
     others.append(support.heisenberg(3))
-    bounds = [double_cosets(h) for h in [g, *others]]
-    assert bounds[0] == 104
-    walked = len(subgroup_walk(g))
-    monkeypatch.setattr(nimgen.groups, "extend_subgroup", counting)
-    for variant in (ng.GEN, ng.DNG):
-        calls.clear()
-        # the 41 non-generating states, the same keys in either game
-        assert len(ng.brute_search(g, variant, brute_cap=g.order)) == 41
-        assert len(calls) == walked - 1 == 15
+    bounds = [double_cosets(h) for h in others]
+    calls = counting_extensions(monkeypatch)
     specs = [a.spec_string for n in range(2, 65) for a in ng.abelian_groups(n)]
     specs += [f"Dih({a.spec_string})" for n in range(1, 33) for a in ng.abelian_groups(n)]
     assert len(specs) == 171
@@ -181,7 +194,7 @@ def test_walk_closes_each_new_subgroup_once(monkeypatch):
         h = support.group(spec)
         calls.clear()
         assert len(subgroup_walk(h)) - 1 == len(calls), spec
-    for h, bound in zip(others, bounds[1:]):
+    for h, bound in zip(others, bounds):
         calls.clear()
         subgroup_walk(h)
         assert len(calls) <= bound, h.label
