@@ -4,14 +4,17 @@
 cap unbuilt.  ``verify`` renders the report of ``theory.verify_family``
 or ``theory.verify_suite``, whose counts give the exit code.  All output is
 UTF-8 with LF line endings; wall-time fields are the only nondeterministic part.
-``main`` may be called any number of times in one process: the parser is
-built on the first call and reused, since it holds only constants and each
-``parse_args`` returns a fresh namespace.
+``main`` may be called any number of times in one process.  Its command
+line is declared once, in ``_COMMANDS``.  A plain one (the command, its
+positionals, then exact full option names, each once, with values that
+are among their choices, do not start with '-' and, for caps, are at
+most 18 ASCII digits) is read off that table; any other, help, errors
+and ``--version`` included, goes to argparse, whose parser is built from
+the table once.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import json
@@ -19,7 +22,8 @@ import os
 import sys
 import time
 from dataclasses import asdict
-from typing import Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 from .diagram import (
@@ -33,6 +37,9 @@ from .errors import NimgenError
 from .lattice import DEFAULT_ORDER_CAP
 from .solver import DEFAULT_BRUTE_CAP, DNG, GEN, solve
 from .theory import SUITES, AbelianSpec, verify_family, verify_suite
+
+if TYPE_CHECKING:
+    import argparse
 
 _VARIANTS = {"gen": GEN, "dng": DNG}
 
@@ -194,92 +201,134 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def _cap(text: str) -> int:
     """A non-negative order cap; argparse reports anything else."""
+    from argparse import ArgumentTypeError
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+        raise ArgumentTypeError(f"must be at least 0, got {value}")
     return value
 
 
-def _add_brute_cap(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--brute-cap", type=_cap, default=DEFAULT_BRUTE_CAP,
-                   help="largest order solved by exhaustive search "
-                        f"(default {DEFAULT_BRUTE_CAP})")
+def _format(*choices: str) -> tuple[str, dict]:
+    return "--format", {"dest": "fmt", "choices": list(choices),
+                        "default": choices[0]}
 
 
-def _add_order_cap(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--order-cap", type=_cap, default=DEFAULT_ORDER_CAP,
-                   help="largest order whose maximal subgroups are computed "
-                        f"(default {DEFAULT_ORDER_CAP})")
+_GAME = ("--game", {"choices": ["gen", "dng"], "default": "gen",
+                    "help": "achievement (gen) or avoidance (dng) game"})
+_MODE = ("--mode", {"choices": ["auto", "brute", "structure"],
+                    "default": "auto"})
+_BRUTE_CAP = ("--brute-cap", {
+    "type": _cap, "default": DEFAULT_BRUTE_CAP,
+    "help": f"largest order solved by exhaustive search (default {DEFAULT_BRUTE_CAP})"})
+_ORDER_CAP = ("--order-cap", {
+    "type": _cap, "default": DEFAULT_ORDER_CAP,
+    "help": "largest order whose maximal subgroups are computed "
+            f"(default {DEFAULT_ORDER_CAP})"})
 
-
-def _add_game(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--game", choices=["gen", "dng"], default="gen",
-                   help="achievement (gen) or avoidance (dng) game")
+# The command line, declared once: per command, its help, its positional
+# (dest, ``add_argument`` keywords), its options (flag, ``add_argument``
+# keywords) and its handler.  ``build_parser`` hands it to argparse and
+# ``_parse_plain`` reads the plain command lines off it.
+_COMMANDS = {
+    "solve": ("compute nim values of group specs",
+              ("specs", {"nargs": "+", "metavar": "SPEC"}),
+              (_GAME, _MODE, _format("text", "json", "csv"), _BRUTE_CAP,
+               _ORDER_CAP),
+              cmd_solve),
+    "diagram": ("emit the structure digraph of GEN",
+                ("spec", {"metavar": "SPEC"}),
+                (_format("dot", "json"),
+                 ("--style", {"choices": ["full", "plain"], "default": "full"}),
+                 ("--simplified", {
+                     "action": "store_true", "default": False,
+                     "help": "merge vertices with equal types and option profiles"}),
+                 _ORDER_CAP),
+                cmd_diagram),
+    "verify": ("check computed values against the published classification",
+               ("specs", {"nargs": "*", "metavar": "ABELIAN_SPEC",
+                          "help": "abelian parts to dihedralize and verify"}),
+               # each suite fixes its games, so --game has no default here
+               (("--game", {**_GAME[1], "default": None}),
+                ("--suite", {"choices": SUITES,
+                             "help": "built-in suite to run (default: theorem)"}),
+                _format("text", "json"), _ORDER_CAP),
+               cmd_verify),
+    "table": ("CSV nim-number table over a family",
+              ("family", {"metavar": "FAMILY",
+                          "help": "spec template containing 'Zn', e.g. Dih(Zn)"}),
+              (("--n", {"required": True, "metavar": "A..B",
+                        "help": "inclusive range substituted for n"}),
+               _GAME, _MODE, _BRUTE_CAP, _ORDER_CAP),
+              cmd_table),
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of ``main``, shared by every later call: do not change it."""
+    """argparse's parser of the command lines ``_parse_plain`` declines,
+    shared by every later call: do not change it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="nimgen",
         description="Nim values of group generation games.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="compute nim values of group specs")
-    p.add_argument("specs", nargs="+", metavar="SPEC")
-    _add_game(p)
-    p.add_argument("--mode", choices=["auto", "brute", "structure"],
-                   default="auto")
-    p.add_argument("--format", dest="fmt", choices=["text", "json", "csv"],
-                   default="text")
-    _add_brute_cap(p)
-    _add_order_cap(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("diagram", help="emit the structure digraph of GEN")
-    p.add_argument("spec", metavar="SPEC")
-    p.add_argument("--format", dest="fmt", choices=["dot", "json"],
-                   default="dot")
-    p.add_argument("--style", choices=["full", "plain"], default="full")
-    p.add_argument("--simplified", action="store_true",
-                   help="merge vertices with equal types and option profiles")
-    _add_order_cap(p)
-    p.set_defaults(func=cmd_diagram)
-
-    p = sub.add_parser("verify", help="check computed values against the "
-                                      "published classification")
-    p.add_argument("specs", nargs="*", metavar="ABELIAN_SPEC",
-                   help="abelian parts to dihedralize and verify")
-    _add_game(p)
-    p.add_argument("--suite", choices=SUITES,
-                   help="built-in suite to run (default: theorem)")
-    p.add_argument("--format", dest="fmt", choices=["text", "json"],
-                   default="text")
-    _add_order_cap(p)
-    p.set_defaults(func=cmd_verify, game=None)  # each suite fixes its games
-
-    p = sub.add_parser("table", help="CSV nim-number table over a family")
-    p.add_argument("family", metavar="FAMILY",
-                   help="spec template containing 'Zn', e.g. Dih(Zn)")
-    p.add_argument("--n", required=True, metavar="A..B",
-                   help="inclusive range substituted for n")
-    _add_game(p)
-    p.add_argument("--mode", choices=["auto", "brute", "structure"],
-                   default="auto")
-    _add_brute_cap(p)
-    _add_order_cap(p)
-    p.set_defaults(func=cmd_table)
-
+    for name, (help_, (dest, keywords), options, func) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        p.add_argument(dest, **keywords)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
+def _parse_plain(argv: Sequence[str]) -> SimpleNamespace | None:
+    """argparse's namespace for a plain command line, as the module
+    docstring defines it, or None for any other."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, (dest, keywords), options, func = _COMMANDS[argv[0]]
+    end = 1
+    while end < len(argv) and not argv[end].startswith("-"):
+        end += 1
+    nargs, values = keywords.get("nargs"), list(argv[1:end])
+    if (nargs is None and len(values) != 1) or (nargs == "+" and not values):
+        return None
+    args = {"command": argv[0], dest: values if nargs else values[0],
+            "func": func}
+    unseen = {}
+    for flag, keywords in options:
+        unseen[flag] = keywords.get("dest", flag[2:].replace("-", "_")), keywords
+        args[unseen[flag][0]] = keywords.get("default")
+    tokens = iter(argv[end:])
+    for flag in tokens:
+        if flag not in unseen:  # not an option name, or a repeat
+            return None
+        dest, keywords = unseen.pop(flag)
+        if keywords.get("action") == "store_true":
+            args[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value declines like an option
+        if value.startswith("-") or value not in keywords.get("choices", [value]):
+            return None
+        if "type" in keywords:  # a cap: at most 18 digits, which int() takes
+            if not (value.isascii() and value.isdigit() and len(value) < 19):
+                return None
+            value = int(value)
+        args[dest] = value
+    if any(keywords.get("required") for _, keywords in unseen.values()):
+        return None
+    return SimpleNamespace(**args)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = (_parse_plain(sys.argv[1:] if argv is None else argv)
+            or build_parser().parse_args(argv))
     if args.command == "verify" and args.specs and args.suite:
         print("error: pass specs or --suite, not both", file=sys.stderr)
         return 2

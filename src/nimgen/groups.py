@@ -288,10 +288,16 @@ class TableFile:
 GroupSpec = Union[Cyclic, Product, Dih, TableFile]
 
 
+# Each Dih doubles the order, so a spec nested deeper names a group of order
+# at least 2**100; the parser and ``build_group`` recurse once per level.
+_MAX_DIH_DEPTH = 100
+
+
 class _SpecParser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def fail(self, message: str) -> None:
         raise SpecParseError(message, self.pos)
@@ -314,6 +320,9 @@ class _SpecParser:
         self.skip_ws()
         text = self.text
         if text.startswith("Dih", self.pos):
+            if self.depth == _MAX_DIH_DEPTH:
+                self.fail(f"Dih nested more than {_MAX_DIH_DEPTH} deep")
+            self.depth += 1
             self.pos += 3
             self.skip_ws()
             if self.pos >= len(text) or text[self.pos] != "(":
@@ -324,6 +333,7 @@ class _SpecParser:
             if self.pos >= len(text) or text[self.pos] != ")":
                 self.fail("expected ')'")
             self.pos += 1
+            self.depth -= 1
             return Dih(inner)
         if text.startswith("table:", self.pos):
             self.pos += len("table:")
@@ -365,6 +375,17 @@ def parse_group_spec(text: str) -> GroupSpec:
     return spec
 
 
+def product_factors(spec: GroupSpec) -> list[GroupSpec]:
+    """The factors of a left-nested product, left to right.  A loop down
+    the left spine, since a long ``x``-chain parses to a deep tree."""
+    factors = []
+    while isinstance(spec, Product):
+        factors.append(spec.right)
+        spec = spec.left
+    factors.append(spec)
+    return factors[::-1]
+
+
 def check_order_cap(order: int, order_cap: int | None) -> None:
     """Raise CapacityError if a group of ``order`` is over ``order_cap``
     (``None``: no cap); orders below 2 are left to the solvers to refuse."""
@@ -377,8 +398,8 @@ def build_group(spec: GroupSpec | str, order_cap: int | None = None) -> GroupTab
     """Construct the group a spec describes, from the inside out.
 
     With an ``order_cap``, the first table over it is refused with
-    CapacityError before it is built: a product on its factors' orders, a
-    ``Dih`` on its inner order, a table file on its header, which is read
+    CapacityError before it is built: a product factor by factor, left to
+    right, on the order so far, a ``Dih`` on its inner order, a table file on its header, which is read
     before the rest of the file.
     """
     if isinstance(spec, str):
@@ -387,9 +408,13 @@ def build_group(spec: GroupSpec | str, order_cap: int | None = None) -> GroupTab
         check_order_cap(spec.n, order_cap)
         return build_cyclic(spec.n)
     if isinstance(spec, Product):
-        left, right = build_group(spec.left, order_cap), build_group(spec.right, order_cap)
-        check_order_cap(left.order * right.order, order_cap)
-        return direct_product(left, right)
+        first, *rest = product_factors(spec)
+        g = build_group(first, order_cap)
+        for factor in rest:
+            h = build_group(factor, order_cap)
+            check_order_cap(g.order * h.order, order_cap)
+            g = direct_product(g, h)
+        return g
     if isinstance(spec, Dih):
         inner = build_group(spec.inner, order_cap)
         check_order_cap(2 * inner.order, order_cap)

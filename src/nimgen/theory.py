@@ -23,12 +23,11 @@ from .diagram import StructureDigraph, build_digraph
 from .errors import CapacityError, OutOfScopeError
 from .groups import (
     Cyclic,
-    GroupSpec,
     GroupTable,
-    Product,
     build_group,
     parse_group_spec,
     prime_factors,
+    product_factors,
     subgroup_walk,
 )
 from .lattice import (
@@ -87,14 +86,10 @@ class AbelianSpec:
     def from_spec(cls, spec: str) -> "AbelianSpec":
         """The factors of a product of cyclic specs, left to right; any other
         spec is refused with a ValueError naming ``spec`` as given."""
-        def factors(s: GroupSpec) -> list[int]:
-            if isinstance(s, Product):
-                return factors(s.left) + factors(s.right)
-            if isinstance(s, Cyclic):
-                return [s.n]
+        factors = product_factors(parse_group_spec(spec))
+        if not all(isinstance(f, Cyclic) for f in factors):
             raise ValueError(f"not a direct product of cyclic groups: {spec}")
-
-        return cls(tuple(factors(parse_group_spec(spec))))
+        return cls(tuple(f.n for f in factors))
 
     @property
     def order(self) -> int:

@@ -9,10 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nimgen as ng
 from nimgen import __version__
-from nimgen.cli import build_parser, main
+from nimgen.cli import _parse_plain, build_parser, main
 
 import support
 
@@ -584,6 +586,21 @@ def test_long_digit_run_is_a_spec_error(capsys, command):
     assert "cyclic group order has too many digits (at position 1)" in out + err
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "diagram", "table"])
+@pytest.mark.parametrize("spec, message", [
+    ("Dih(" * 600 + "Zn" + ")" * 600,
+     "Dih nested more than 100 deep (at position 400)"),
+    ("x".join(["Zn"] * 1000),
+     "structure lattice capped at order 200, group has order 256"),
+], ids=["deep", "long"])
+def test_deep_and_long_specs_exit_2(capsys, command, spec, message):
+    argv = ([command, spec, "--n", "2..2"] if command == "table"
+            else [command, spec.replace("Zn", "Z2")])
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert message in out + err
+
+
 # main builds its parser on the first call and reuses it, so no call may
 # leave a trace in the next one made in the same process.
 def test_parser_is_built_once():
@@ -632,3 +649,94 @@ def test_argparse_error_after_a_call_is_captured(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --format: invalid choice: 'xml'" in captured.err
+
+
+# The argv shapes the benchmark workloads send.
+PLAIN_ARGV = [
+    ["solve", "Z4", "--game", "dng", "--format", "json"],
+    ["solve", "Dih(Z3)", "--game", "gen", "--format", "json", "--mode", "brute",
+     "--brute-cap", "6"],
+    ["diagram", "Dih(Z3)", "--simplified", "--format", "json"],
+    ["verify", "--suite", "dng", "--format", "json"],
+    ["verify", "Z7", "--game", "dng", "--format", "json"],
+    ["table", "Dih(Zn)", "--n", "2..3"],
+]
+
+
+def test_plain_command_lines_skip_argparse(tmp_path, capsys):
+    table = tmp_path / "z3.tbl"
+    table.write_text("3\n0 1 2\n1 2 0\n2 0 1\n", encoding="utf-8")
+    argvs = PLAIN_ARGV + [["solve", f"table:{table}", "--game", "gen",
+                           "--format", "json"]]
+    assert all(_parse_plain(argv) is not None for argv in argvs)
+    build_parser.cache_clear()
+    for argv in argvs:
+        assert run(capsys, *argv)[0] == 0, argv
+    assert build_parser.cache_info().currsize == 0
+    script = ("import contextlib, io, sys\n"
+              "import nimgen.cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    codes = [nimgen.cli.main(a) for a in {PLAIN_ARGV!r}]\n"
+              "print(codes, sorted({'argparse', 'gettext'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_child_env(), timeout=120)
+    assert proc.stdout == f"{[0] * len(PLAIN_ARGV)} []\n", proc.stderr
+
+
+# Tokens of every kind the fast path must get right or decline: commands,
+# exact and abbreviated options, --opt=value, help and version flags,
+# choices valid and not, caps argparse accepts that the fast path need not,
+# and specs that are empty or look like options.
+GOOD_VALUES = {"--game": ["gen", "dng"], "--mode": ["auto", "brute", "structure"],
+               "--format": ["text", "json", "csv", "dot"],
+               "--style": ["full", "plain"], "--simplified": [],
+               "--suite": ["theorem", "all"], "--n": ["2..5"],
+               "--brute-cap": ["0", "16"], "--order-cap": ["0", "16"]}
+OPTIONS_OF = {
+    "solve": ["--game", "--mode", "--format", "--brute-cap", "--order-cap"],
+    "diagram": ["--format", "--style", "--simplified", "--order-cap"],
+    "verify": ["--game", "--suite", "--format", "--order-cap"],
+    "table": ["--n", "--game", "--mode", "--brute-cap", "--order-cap"],
+}
+VALUES = ["xml", "0", "16", "-1", "+5", "5_0", "\u00b2", "x", "", "-Z4", "9" * 5000]
+SPECS = ["Z4", "Dih(Z5)", "Dih(Zn)", "", "-Z4"]
+TOKENS = list(OPTIONS_OF) + list(GOOD_VALUES) + VALUES + SPECS + [
+    "--form", "--gam", "--simp", "--format=json", "-h", "--help", "--version",
+    "--", "-"]
+
+
+def _option_and_value(option):
+    """The option with a value that is often valid, sometimes not, and
+    sometimes missing."""
+    if not GOOD_VALUES[option]:
+        return st.just([option])
+    return st.sampled_from(GOOD_VALUES[option] * 6 + VALUES + [None]).map(
+        lambda v: [option] if v is None else [option, v])
+
+
+def _command_line(command):
+    """The command, its positionals and its options, each option at most once;
+    a drawn option may belong to another command."""
+    options = st.sampled_from(OPTIONS_OF[command] * 4 + list(GOOD_VALUES))
+    return st.tuples(
+        st.just([command]), st.lists(st.sampled_from(SPECS), max_size=2),
+        st.lists(options.flatmap(_option_and_value), max_size=4,
+                 unique_by=lambda chunk: chunk[0]),
+    ).map(lambda parts: parts[0] + parts[1] + sum(parts[2], []))
+
+
+@settings(max_examples=500, deadline=None)
+@example(["table", "Z4", "--n"], [])
+@example(["table", "Z4", "--n", "-Z4"], [])
+@example(["solve", "Z4", "--brute-cap", "9" * 5000], [])
+@example(["verify", "--suite", "all", "--format", "json"], [])
+@given(st.sampled_from(list(OPTIONS_OF)).flatmap(_command_line),
+       st.lists(st.tuples(st.integers(0, 8), st.sampled_from(TOKENS)), max_size=1))
+def test_plain_parse_equals_argparse(argv, inserts):
+    # Whenever the fast path returns a namespace, argparse parses the same
+    # command line without exiting and gives equal attributes.
+    for i, token in inserts:
+        argv.insert(i, token)
+    fast = _parse_plain(argv)
+    if fast is not None:
+        assert vars(fast) == vars(build_parser().parse_args(argv))

@@ -268,6 +268,24 @@ def test_parse_rejects_malformed(bad, message, position):
     assert exc.value.position == position
 
 
+def test_deep_and_long_specs_are_typed_errors():
+    # A spec nested or chained past the recursion limit is refused with a
+    # typed error, not a RecursionError: the parser stops at the 101st Dih,
+    # and products are built factor by factor, so the cap refuses the 8th
+    # of a thousand Z2 factors.
+    spec = Cyclic(2)
+    for _ in range(100):
+        spec = Dih(spec)
+    assert ng.parse_group_spec("Dih(" * 100 + "Z2" + ")" * 100) == spec
+    with pytest.raises(ng.SpecParseError) as exc:
+        ng.parse_group_spec("Dih(" * 600 + "Z2" + ")" * 600)
+    assert str(exc.value) == "Dih nested more than 100 deep (at position 400)"
+    chain = "x".join(["Z2"] * 1000)
+    with pytest.raises(ng.CapacityError, match="group has order 256$"):
+        ng.build_group(chain, order_cap=200)
+    assert ng.AbelianSpec.from_spec(chain).factors == (2,) * 1000
+
+
 @pytest.mark.parametrize("spec, position", [("Z{}", 1), ("Dih(Z2xZ{})", 8)])
 def test_parse_rejects_long_digit_run(spec, position):
     # more digits than int() converts by default
