@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
@@ -145,7 +144,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if args.fmt == "json":
         payload = {"records": [r.to_dict() for r in report.records],
-                   "checks": [asdict(c) for c in report.checks],
+                   "checks": [{"name": c.name, "subject": c.subject, "checked": c.checked,
+                               "violations": list(c.violations)} for c in report.checks],
                    "notes": list(report.notes), "exitCode": report.exit_code}
         print(json.dumps(payload, indent=2, sort_keys=True))
         return report.exit_code

@@ -86,23 +86,14 @@ def type_of(nims: ClassNimTable, lat: IntersectionLattice, cid: int) -> TypeTrip
 def build_digraph(g: GroupTable, lat: IntersectionLattice, nims: ClassNimTable,
                   dt: DeficiencyTable) -> StructureDigraph:
     """One vertex per class plus the terminal one, with ``dt``'s distances."""
-    vertices = [
-        DigraphVertex(
-            cid=cid,
-            carrier_order=mask.bit_count(),
-            parity=class_parity(lat, cid),
-            deficiency=dt.per_class[cid],
-            vtype=type_of(nims, lat, cid),
-        )
-        for cid, mask in enumerate(lat.intersections)
-    ]
-    vertices.append(DigraphVertex(
-        cid=TERMINAL,
-        carrier_order=g.order,
-        parity=class_parity(lat, TERMINAL),
-        deficiency=0,
-        vtype=type_of(nims, lat, TERMINAL),
-    ))
+    per_nim, per_def = nims.per_class, dt.per_class
+    vertices = []
+    for cid, size in enumerate(map(int.bit_count, lat.intersections)):
+        q = size & 1
+        vertices.append(DigraphVertex(cid, size, q, per_def[cid],
+                                      TypeTriple(q, *per_nim[cid])))
+    q = g.order & 1
+    vertices.append(DigraphVertex(TERMINAL, g.order, q, 0, TypeTriple(q, *per_nim[TERMINAL])))
     return StructureDigraph(vertices=tuple(vertices), options=lat.options + ((),))
 
 

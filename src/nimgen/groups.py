@@ -271,8 +271,22 @@ class Cyclic:
 
 @dataclass(frozen=True)
 class Product:
+    # A long x-chain is a deep left spine: compare, hash and repr in a loop.
     left: "GroupSpec"
     right: "GroupSpec"
+
+    def __eq__(self, other):
+        if other.__class__ is not Product:
+            return NotImplemented
+        return product_factors(self) == product_factors(other)
+
+    def __hash__(self):
+        return hash(tuple(product_factors(self)))
+
+    def __repr__(self):
+        first, *rest = product_factors(self)
+        return ("Product(left=" * len(rest) + repr(first)
+                + "".join(f", right={f!r})" for f in rest))
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .groups import (GroupTable, check_order_cap, extend_subgroup, iter_mask,
-                     mask_of, normal_closure, prime_factors, span, subgroup_walk)
+from .groups import (GroupTable, check_order_cap, extend_subgroup, mask_of,
+                     normal_closure, prime_factors, span, subgroup_walk)
 
 TERMINAL = -1  # class id of the terminal class (the whole group)
 
@@ -184,33 +184,44 @@ def intersection_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP)
     carrier is the Frattini subgroup plus its own elements.  Every result
     other than I is an option of I.  An option J of I probes only J & r for
     the options r of I: J & s = J & (I & s) for every signature s, and
-    J & I = J.  A class whose intent is a single maximal is that maximal
-    subgroup, so its one option is ``TERMINAL`` and it is not probed.  A
-    carrier is the meet of its intent's maximals; classes are numbered by
-    carrier size, then mask, so every option has a larger id than its
-    class.
+    J & I = J.  So pending intents wait in a dict, each with the option
+    set of whichever parent reached it last.  A class whose intent is a
+    single maximal is that maximal subgroup, so its one option is
+    ``TERMINAL`` and it is not probed.  A carrier is the meet of its
+    intent's maximals; classes are numbered by carrier size, then mask, so
+    every option has a larger id than its class.
     """
     maxi = maximal_subgroups(g, order_cap=order_cap)
     sig = [0] * g.order
     for i, m in enumerate(maxi):
-        for x in iter_mask(m):
-            sig[x] |= 1 << i
+        bit = 1 << i
+        while m:
+            low = m & -m
+            sig[low.bit_length() - 1] |= bit
+            m ^= low
     moves: dict[int, set[int]] = {}  # intent -> intents of its options
-    frontier = [(sig[0], set(sig))]  # (intent, the masks it probes)
-    while frontier:
-        intent, probes = frontier.pop()
-        if intent in moves:
-            continue
+    todo = {sig[0]: set(sig)}  # pending intent -> the masks it probes
+    while todo:
+        intent, probes = todo.popitem()
         # a single maximal's class is that maximal: its one option is TERMINAL
         opts = moves[intent] = {intent & s for s in probes} if intent & (intent - 1) else {0}
         opts.discard(intent)
-        frontier += [(j, opts) for j in opts if j and j not in moves]
-    by_carrier = {_and_over(maxi, i, g.full_mask): i for i in moves}
+        for j in opts:
+            if j and j not in moves:
+                todo[j] = opts
+    full, by_carrier = g.full_mask, {}
+    for i in moves:
+        carrier, bits = full, i
+        while bits:
+            low = bits & -bits
+            carrier &= maxi[low.bit_length() - 1]
+            bits ^= low
+        by_carrier[carrier] = i
     carriers = sorted(sorted(by_carrier), key=int.bit_count)
     index = {by_carrier[c]: cid for cid, c in enumerate(carriers)}
     index[0] = TERMINAL
-    options = tuple(tuple(sorted(map(index.__getitem__, moves[by_carrier[c]])))
-                    for c in carriers)
+    get = index.__getitem__
+    options = tuple(tuple(sorted(map(get, moves[by_carrier[c]]))) for c in carriers)
     del index[0]
     return IntersectionLattice(
         group=g, intersections=tuple(carriers), frattini_index=0,
@@ -252,8 +263,13 @@ def deficiency_table(lat: IntersectionLattice) -> DeficiencyTable:
     proper and so has an option; the Frattini class, inside every carrier,
     is the farthest, at d(G).
     """
-    dist = [0] * (len(lat.options) + 1)  # the terminal's 0 last, read as -1
+    options = lat.options
+    dist = [0] * (len(options) + 1)  # the terminal's 0 last, read as -1
     per = {TERMINAL: 0}
-    for cid in reversed(range(len(lat.options))):
-        per[cid] = dist[cid] = 1 + min(map(dist.__getitem__, lat.options[cid]))
+    for cid in reversed(range(len(options))):
+        d = len(options)  # above every distance
+        for j in options[cid]:
+            if dist[j] < d:
+                d = dist[j]
+        per[cid] = dist[cid] = d + 1
     return DeficiencyTable(per_class=per, d_g=per[lat.frattini_index])

@@ -23,18 +23,15 @@ differ only in the terminal class's slot: the bit of 0 in GEN, none in DNG.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import Iterable, Literal, Mapping
 
 from .errors import CapacityError
-from .groups import GroupSpec, GroupTable, build_group, subgroup_walk
+from .groups import GroupSpec, GroupTable, build_group, check_order_cap, subgroup_walk
 from .lattice import (
     DEFAULT_ORDER_CAP,
     TERMINAL,
     DeficiencyTable,
     IntersectionLattice,
-    class_parity,
     deficiency_table,
     intersection_subgroups,
 )
@@ -126,24 +123,28 @@ def structure_nim(g: GroupTable, lat: IntersectionLattice,
     no move may reach one, so it holds nothing.
     """
     _check_game(g, variant)
-    even = [0] * len(lat.options) + [1 if variant == GEN else 0]
+    options, carriers = lat.options, lat.intersections
+    even = [0] * len(options) + [1 if variant == GEN else 0]
     odd = list(even)
     per: dict[int, tuple[int, int]] = {TERMINAL: (0, 0)}
-    for cid in reversed(range(len(lat.options))):
-        opts = lat.options[cid]
-        pools = (reduce(or_, map(even.__getitem__, opts)),
-                 reduce(or_, map(odd.__getitem__, opts)))
-        q = class_parity(lat, cid)
+    for cid in reversed(range(len(options))):
+        even_pool = odd_pool = 0
+        for j in options[cid]:
+            even_pool |= even[j]
+            odd_pool |= odd[j]
         # A move adds one element, so every option of a position has the
         # opposite parity.  Positions sharing the carrier's parity include
         # the carrier itself, which has no move that stays inside the class;
         # opposite-parity positions are proper subsets of the carrier and
         # always have such a move.  Proper subsets of the carrier's parity
         # also reach n_other != n_carrier, which leaves their mex unchanged.
-        n_carrier = ~pools[1 - q] & (pools[1 - q] + 1)  # lowest clear bit
-        n_other = ~(pools[q] | n_carrier) & ((pools[q] | n_carrier) + 1)
-        even[cid], odd[cid] = (n_carrier, n_other) if q == 0 else (n_other, n_carrier)
-        per[cid] = (even[cid].bit_length() - 1, odd[cid].bit_length() - 1)
+        q = carriers[cid].bit_count() & 1
+        same, other = (odd_pool, even_pool) if q else (even_pool, odd_pool)
+        n_carrier = ~other & (other + 1)  # lowest clear bit
+        same |= n_carrier
+        n_other = ~same & (same + 1)
+        even[cid], odd[cid] = e, o = (n_other, n_carrier) if q else (n_carrier, n_other)
+        per[cid] = (e.bit_length() - 1, o.bit_length() - 1)
     return ClassNimTable(per_class=per, game_nim=per[lat.frattini_index][0])
 
 
@@ -163,25 +164,32 @@ class SolveResult:
         return self.deficiency.d_g
 
 
-def solve(group: GroupTable | GroupSpec | str, variant: Variant = GEN,
-          mode: str = "auto", *, brute_cap: int = DEFAULT_BRUTE_CAP,
+def solve(group: IntersectionLattice | GroupTable | GroupSpec | str,
+          variant: Variant = GEN, mode: str = "auto", *,
+          brute_cap: int = DEFAULT_BRUTE_CAP,
           order_cap: int = DEFAULT_ORDER_CAP) -> SolveResult:
-    """Nim value of a game on a table or a spec, with the tables
+    """Nim value of a game on a lattice, a table or a spec, with the tables
     ``SolveResult`` lists.
 
     A spec is built by ``build_group`` under ``order_cap``, which refuses
     the first table over the cap before building it.  ``auto`` uses brute
     force up to ``brute_cap`` and the structure solver above it, in both
     games.  The lattice is built in every mode, so ``order_cap`` bounds
-    brute-force solves as well.
+    brute-force solves as well; a lattice given in place of the group is
+    used as it is, once its group's order is checked against the cap.
     """
-    g = group if isinstance(group, GroupTable) else build_group(group, order_cap)
+    if isinstance(group, IntersectionLattice):
+        lat, g = group, group.group
+    else:
+        lat, g = None, group if isinstance(group, GroupTable) else build_group(group, order_cap)
     _check_game(g, variant)
     if mode == "auto":
         mode = "brute" if g.order <= brute_cap else "structure"
     elif mode not in ("brute", "structure"):
         raise ValueError(f"unknown mode {mode!r}")
-    lat = intersection_subgroups(g, order_cap=order_cap)
+    check_order_cap(g.order, order_cap)
+    if lat is None:
+        lat = intersection_subgroups(g, order_cap=order_cap)
     if mode == "brute":
         classes = None
         nim = brute_nim(g, variant, brute_cap=brute_cap)

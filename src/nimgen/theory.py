@@ -7,16 +7,16 @@ generation games on generalized dihedral groups straight from the shape of
 the abelian part, and the verify/check helpers compare those expectations
 against computed values.  The deficiency oracle checks class distances
 against every subgroup's deficiency, found from the Cayley table alone.
-``verify_suite`` runs the shipped suites, solving each (group, game) once
-per call and noting once each group a check cannot solve under the cap.
+``verify_suite`` runs the shipped suites, building each group's lattice
+and solving each (group, game) once per call, and noting once each group a
+check cannot solve under the cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from itertools import product
-from operator import and_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .diagram import StructureDigraph, build_digraph
@@ -38,7 +38,7 @@ from .lattice import (
     ceil_class,
     class_parity,
     deficiency_table,  # not called here: perfbench traces it by this name
-    maximal_subgroups,
+    intersection_subgroups,
 )
 from .solver import DNG, GEN, SolveResult, Variant, solve
 
@@ -256,16 +256,18 @@ class FamilyReport:
         return 1 if self.failed else 2 if self.skipped else 0
 
 
-def _structure_solver(order_cap: int) -> Callable[[str, Variant], SolveResult]:
-    # Call with the game positional: the cache keys f(s) and f(s, GEN) apart.
-    # ``solve`` raises CapacityError before it builds a table over the cap.
-    return cache(lambda spec, variant: solve(spec, variant, "structure",
-                                             order_cap=order_cap))
+def _structure_solver(order_cap: int):
+    """One lattice per spec, and one structure solve per (spec, game) on it;
+    ``build_group`` refuses a table over the cap before building it."""
+    lattice = cache(lambda spec: intersection_subgroups(build_group(spec, order_cap),
+                                                        order_cap=order_cap))
+    return lattice, cache(lambda spec, variant: solve(lattice(spec), variant, "structure",
+                                                      order_cap=order_cap))
 
 
 def _family_records(specs: Iterable[AbelianSpec], variant: Variant,
-                    structure: Callable[[str, Variant], SolveResult],
-                    order_cap: int) -> list[FamilyRecord]:
+                    lattice: Callable[[str], IntersectionLattice],
+                    structure: Callable[[str, Variant], SolveResult]) -> list[FamilyRecord]:
     records = []
     for a in specs:
         spec_str = f"Dih({a.spec_string})"
@@ -277,11 +279,8 @@ def _family_records(specs: Iterable[AbelianSpec], variant: Variant,
         try:
             result = structure(spec_str, variant)
             # Dih(A) built from A's spec keeps A's element indices, so
-            # Frattini carriers compare directly; A's is the meet of its
-            # maximals.
-            a_frattini = reduce(and_, maximal_subgroups(
-                build_group(a.spec_string, order_cap), order_cap=order_cap))
-            frattini_match = a_frattini == result.lattice.frattini_mask
+            # Frattini carriers compare directly.
+            frattini_match = lattice(a.spec_string).frattini_mask == result.lattice.frattini_mask
         except CapacityError as exc:
             records.append(FamilyRecord(spec_str, variant, predicted, d_a=a.rank,
                                         note=str(exc)))
@@ -300,7 +299,7 @@ def verify_family(specs: Sequence[AbelianSpec], variant: Variant = GEN, *,
     Capacity and scope problems are reported per record, never raised.
     """
     return FamilyReport(records=tuple(_family_records(
-        specs, variant, _structure_solver(order_cap), order_cap)))
+        specs, variant, *_structure_solver(order_cap))))
 
 
 @dataclass(frozen=True)
@@ -491,19 +490,21 @@ SUITES = ("theorem", "dng", "even-types", "odd-lemmas", "deficiency", "all")
 def verify_suite(suite: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FamilyReport:
     """Run one of ``SUITES`` (``all`` runs the others in order) as one report.
 
-    Each (group, game) is solved once per call; a group a check suite cannot
-    solve under ``order_cap`` gets one note, however many suites list it.
+    Each group's lattice is built once per call, shared by both games and
+    by the Frattini check, and each (group, game) is solved once on it; a
+    group a check suite cannot solve under ``order_cap`` gets one note,
+    however many suites list it.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    structure = _structure_solver(order_cap)
+    lattice, structure = _structure_solver(order_cap)
     records: list[FamilyRecord] = []
     if suite in ("theorem", "all"):
         records += _family_records(map(AbelianSpec.from_spec, ABELIAN_CATALOG),
-                                   GEN, structure, order_cap)
+                                   GEN, lattice, structure)
     if suite in ("dng", "all"):
         records += _family_records(map(AbelianSpec.from_spec, DNG_FAMILY),
-                                   DNG, structure, order_cap)
+                                   DNG, lattice, structure)
     checks: list[CheckReport] = []
     notes: dict[str, str] = {}
 

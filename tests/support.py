@@ -7,12 +7,15 @@ memoized helpers, so each is built once per test session.
 import dataclasses
 import random
 from collections import deque
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
+from operator import or_
 
 import nimgen as ng
-from nimgen.groups import Cyclic, Dih, Product, subgroup_walk
-from nimgen.lattice import _dih_maximals
+from nimgen.groups import Cyclic, Dih, Product, iter_mask, subgroup_walk
+from nimgen.lattice import (TERMINAL, DeficiencyTable, IntersectionLattice, _and_over,
+                            _dih_maximals, class_parity, maximal_subgroups)
+from nimgen.solver import GEN, ClassNimTable, _check_game
 
 
 @lru_cache(maxsize=None)
@@ -407,6 +410,107 @@ def reference_deficiency(lat: ng.IntersectionLattice, edges) -> ng.DeficiencyTab
     d_g = dist[lat.frattini_index]
     assert max(dist.values()) == d_g
     return ng.DeficiencyTable(per_class=dist, d_g=d_g)
+
+
+# The class passes as they were before each became one flat loop per
+# class, kept verbatim apart from their names: the references that the flat
+# ``intersection_subgroups``, ``structure_nim`` and ``deficiency_table``
+# must equal.
+
+
+def reference_intersection_subgroups(g: ng.GroupTable, *,
+                                     order_cap: int = ng.DEFAULT_ORDER_CAP
+                                     ) -> ng.IntersectionLattice:
+    """The intersections of maximal subgroups, with each class's options.
+
+    Adding element x to a class of intent I leads to the class of intent
+    ``I & sig[x]``, or to ``TERMINAL`` when no maximal is left; elements
+    with equal signatures lead to the same class, so one probe per distinct
+    signature suffices.  Walking these moves from the Frattini class, whose
+    intent ``sig[0]`` holds every maximal, reaches every class, since each
+    carrier is the Frattini subgroup plus its own elements.  Every result
+    other than I is an option of I.  An option J of I probes only J & r for
+    the options r of I: J & s = J & (I & s) for every signature s, and
+    J & I = J.  A class whose intent is a single maximal is that maximal
+    subgroup, so its one option is ``TERMINAL`` and it is not probed.  A
+    carrier is the meet of its intent's maximals; classes are numbered by
+    carrier size, then mask, so every option has a larger id than its
+    class.
+    """
+    maxi = maximal_subgroups(g, order_cap=order_cap)
+    sig = [0] * g.order
+    for i, m in enumerate(maxi):
+        for x in iter_mask(m):
+            sig[x] |= 1 << i
+    moves: dict[int, set[int]] = {}  # intent -> intents of its options
+    frontier = [(sig[0], set(sig))]  # (intent, the masks it probes)
+    while frontier:
+        intent, probes = frontier.pop()
+        if intent in moves:
+            continue
+        # a single maximal's class is that maximal: its one option is TERMINAL
+        opts = moves[intent] = {intent & s for s in probes} if intent & (intent - 1) else {0}
+        opts.discard(intent)
+        frontier += [(j, opts) for j in opts if j and j not in moves]
+    by_carrier = {_and_over(maxi, i, g.full_mask): i for i in moves}
+    carriers = sorted(sorted(by_carrier), key=int.bit_count)
+    index = {by_carrier[c]: cid for cid, c in enumerate(carriers)}
+    index[0] = TERMINAL
+    options = tuple(tuple(sorted(map(index.__getitem__, moves[by_carrier[c]])))
+                    for c in carriers)
+    del index[0]
+    return IntersectionLattice(
+        group=g, intersections=tuple(carriers), frattini_index=0,
+        maximals=maxi, sig=tuple(sig), options=options, intent_index=index)
+
+
+def reference_structure_nim(g: ng.GroupTable, lat: ng.IntersectionLattice,
+                            variant: str = ng.GEN) -> ng.ClassNimTable:
+    """Solve a game over structure classes instead of positions.
+
+    Classes are processed from the last id down; every option of a class
+    lies in a class with a strictly larger carrier, hence a larger id, or is
+    terminal.  Even and odd nim values are one-bit masks in two lists, so
+    a pool is an OR and its mex the lowest clear bit.  The terminal class
+    has the last slot, read by option ``TERMINAL`` (-1): a generating
+    position ends GEN with value 0, so the slot holds the bit of 0; in DNG
+    no move may reach one, so it holds nothing.
+    """
+    _check_game(g, variant)
+    even = [0] * len(lat.options) + [1 if variant == GEN else 0]
+    odd = list(even)
+    per: dict[int, tuple[int, int]] = {TERMINAL: (0, 0)}
+    for cid in reversed(range(len(lat.options))):
+        opts = lat.options[cid]
+        pools = (reduce(or_, map(even.__getitem__, opts)),
+                 reduce(or_, map(odd.__getitem__, opts)))
+        q = class_parity(lat, cid)
+        # A move adds one element, so every option of a position has the
+        # opposite parity.  Positions sharing the carrier's parity include
+        # the carrier itself, which has no move that stays inside the class;
+        # opposite-parity positions are proper subsets of the carrier and
+        # always have such a move.  Proper subsets of the carrier's parity
+        # also reach n_other != n_carrier, which leaves their mex unchanged.
+        n_carrier = ~pools[1 - q] & (pools[1 - q] + 1)  # lowest clear bit
+        n_other = ~(pools[q] | n_carrier) & ((pools[q] | n_carrier) + 1)
+        even[cid], odd[cid] = (n_carrier, n_other) if q == 0 else (n_other, n_carrier)
+        per[cid] = (even[cid].bit_length() - 1, odd[cid].bit_length() - 1)
+    return ClassNimTable(per_class=per, game_nim=per[lat.frattini_index][0])
+
+
+def reference_deficiency_table(lat: ng.IntersectionLattice) -> ng.DeficiencyTable:
+    """Distances to the terminal class along option edges.
+
+    Every option of a class has a larger class id or is terminal, so one
+    pass from the last class down settles each distance.  Every carrier is
+    proper and so has an option; the Frattini class, inside every carrier,
+    is the farthest, at d(G).
+    """
+    dist = [0] * (len(lat.options) + 1)  # the terminal's 0 last, read as -1
+    per = {TERMINAL: 0}
+    for cid in reversed(range(len(lat.options))):
+        per[cid] = dist[cid] = 1 + min(map(dist.__getitem__, lat.options[cid]))
+    return DeficiencyTable(per_class=per, d_g=per[lat.frattini_index])
 
 
 def reference_simplify(d, rng: random.Random | None = None) -> ng.SimplifiedDiagram:

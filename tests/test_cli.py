@@ -404,21 +404,49 @@ def test_verify_even_types_notes_only_even_groups(capsys):
                            "Dih(Z8)", "Dih(Z2xZ4)", "Dih(Z2xZ2xZ2)"]
 
 
-def test_verify_all_solves_each_group_once(capsys, monkeypatch):
+def _count_lattices_and_solves(monkeypatch):
+    """Count ``nimgen.theory``'s lattice builds by group label, and its
+    solves by group label and game; the suites hand ``solve`` lattices."""
     import nimgen.theory
 
-    calls = collections.Counter()
-    solve = nimgen.theory.solve
+    lattices, solves = collections.Counter(), collections.Counter()
+    build, solve = nimgen.theory.intersection_subgroups, nimgen.theory.solve
 
-    def counting(spec, variant, *args, **kwargs):
-        calls[spec, variant] += 1
-        return solve(spec, variant, *args, **kwargs)
+    def counting_build(g, *args, **kwargs):
+        lattices[g.label] += 1
+        return build(g, *args, **kwargs)
 
-    monkeypatch.setattr(nimgen.theory, "solve", counting)
+    def counting_solve(lat, variant, *args, **kwargs):
+        solves[lat.group.label, variant] += 1
+        return solve(lat, variant, *args, **kwargs)
+
+    monkeypatch.setattr(nimgen.theory, "intersection_subgroups", counting_build)
+    monkeypatch.setattr(nimgen.theory, "solve", counting_solve)
+    return lattices, solves
+
+
+def test_verify_all_solves_each_group_once(capsys, monkeypatch):
+    lattices, solves = _count_lattices_and_solves(monkeypatch)
     code, _, _ = run(capsys, "verify", "--suite", "all")
     assert code == 0
-    assert set(calls.values()) == {1}
-    assert sum(calls.values()) == 44
+    assert set(solves.values()) == {1}
+    assert sum(solves.values()) == 44
+    # one lattice per group, shared by both games and the Frattini check
+    assert set(lattices.values()) == {1}
+    assert sum(lattices.values()) == 42
+
+
+def test_verify_family_builds_one_lattice_per_group(capsys, monkeypatch):
+    lattices, solves = _count_lattices_and_solves(monkeypatch)
+    assert run(capsys, "verify", "Z7", "--game", "dng")[0] == 0
+    assert lattices == {"Dih(Z7)": 1, "Z7": 1}
+    assert solves == {("Dih(Z7)", "DNG"): 1}
+
+
+def test_verify_all_json_golden(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--format", "json")
+    assert code == 0
+    assert out == (GOLDEN / "verify_all.json").read_text()
 
 
 def test_verify_all_joins_the_suites(capsys):

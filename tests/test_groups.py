@@ -286,6 +286,23 @@ def test_deep_and_long_specs_are_typed_errors():
     assert ng.AbelianSpec.from_spec(chain).factors == (2,) * 1000
 
 
+def test_long_products_compare_hash_and_repr_without_recursion():
+    # 1000 factors nest 999 Products down the left spine, past the
+    # recursion limit of the dataclass methods.
+    chain = "x".join(["Z2"] * 1000)
+    a, b = ng.parse_group_spec(chain), ng.parse_group_spec(chain)
+    assert a == b and hash(a) == hash(b)
+    assert a != ng.parse_group_spec(chain + "xZ2")
+    assert repr(a) == "Product(left=" * 999 + "Cyclic(n=2)" + ", right=Cyclic(n=2))" * 999
+    assert repr(ng.parse_group_spec("Dih(Z2xZ3)xZ5xtable:k4")) == (
+        "Product(left=Product(left=Dih(inner=Product(left=Cyclic(n=2), "
+        "right=Cyclic(n=3))), right=Cyclic(n=5)), right=TableFile(path='k4'))")
+    assert Product(Cyclic(2), Cyclic(3)) != Product(Cyclic(3), Cyclic(2))
+    assert Product(Product(Cyclic(2), Cyclic(3)), Cyclic(4)) != Product(
+        Cyclic(2), Product(Cyclic(3), Cyclic(4)))
+    assert Product(Cyclic(2), Cyclic(3)) != (Cyclic(2), Cyclic(3))
+
+
 @pytest.mark.parametrize("spec, position", [("Z{}", 1), ("Dih(Z2xZ{})", 8)])
 def test_parse_rejects_long_digit_run(spec, position):
     # more digits than int() converts by default

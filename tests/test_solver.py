@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nimgen as ng
+import nimgen.solver
 from nimgen.groups import subgroup_walk
 
 import support
@@ -305,6 +306,15 @@ def test_solve_refuses_an_over_cap_spec_unbuilt(monkeypatch):
         ng.solve("Z100000")
 
 
+def test_solve_takes_a_lattice_as_it_is(monkeypatch):
+    lat = support.lattice("Dih(Z5)")
+    with pytest.raises(ng.CapacityError, match="capped at order 8, group has order 10"):
+        ng.solve(lat, order_cap=8)
+    monkeypatch.setattr(nimgen.solver, "intersection_subgroups", None)
+    for variant in (ng.GEN, ng.DNG):
+        assert ng.solve(lat, variant, "structure", order_cap=10).lattice is lat
+
+
 def _outcome(group, variant, mode):
     """What ``solve`` gives, or the error it raises, as comparable values."""
     try:
@@ -320,8 +330,8 @@ def test_solve_builds_a_spec_as_build_group_does(variant, tmp_path):
     for spec in ng.EXTENDED_CATALOG:
         g = support.group(spec)
         for mode in ("auto", "brute", "structure"):
-            assert _outcome(spec, variant, mode) == _outcome(g, variant, mode), \
-                (spec, mode)
+            assert _outcome(spec, variant, mode) == _outcome(g, variant, mode) == \
+                _outcome(support.lattice(spec), variant, mode), (spec, mode)
     path = tmp_path / "dih5.tbl"
     path.write_text(ng.to_table_text(support.group("Dih(Z5)")), encoding="utf-8")
     for spec in (ng.TableFile(str(path)), ng.parse_group_spec("Dih(Z3xZ3)")):
@@ -378,3 +388,35 @@ def test_every_solver_refuses_a_bad_game_alike(solver, spec, variant, message):
     with pytest.raises(ValueError) as exc:
         _SOLVERS[solver](support.group(spec), variant)
     assert str(exc.value) == message
+
+
+
+# EXTENDED_CATALOG holds Dih(Z3xZ3xZ3) already.
+FLAT_PASS_GROUPS = (*ng.EXTENDED_CATALOG, "A4", "S4", "A4 relabelled", "S4 relabelled",
+                    "Z2xZ2xZ2xZ2xZ2xZ2")
+
+
+@pytest.mark.parametrize("name", FLAT_PASS_GROUPS)
+def test_flat_class_passes_equal_references(name):
+    # The lattice walk, class mex, deficiency and digraph as flat loops per
+    # class give what the passes built on map, reduce and min gave.
+    base, _, relabel = name.partition(" ")
+    g = support.relabelled(support.group(base), 1) if relabel else support.group(base)
+    lat, ref = ng.intersection_subgroups(g), support.reference_intersection_subgroups(g)
+    assert lat.intersections == ref.intersections
+    assert lat.options == ref.options
+    assert lat.intent_index == ref.intent_index
+    assert lat == ref
+    dt, ref_dt = ng.deficiency_table(lat), support.reference_deficiency_table(ref)
+    assert dt.per_class == ref_dt.per_class and dt.d_g == ref_dt.d_g
+    cids = [*range(len(ref.options)), ng.TERMINAL]
+    orders = [m.bit_count() for m in ref.intersections] + [g.order]
+    for variant in (ng.GEN, ng.DNG):
+        nims = ng.structure_nim(g, lat, variant)
+        ref_nims = support.reference_structure_nim(g, ref, variant)
+        assert list(nims.per_class.items()) == list(ref_nims.per_class.items())
+        assert nims.game_nim == ref_nims.game_nim
+        vertices = [ng.DigraphVertex(cid, n, ng.class_parity(ref, cid), ref_dt.per_class[cid],
+                                     ng.type_of(ref_nims, ref, cid))
+                    for cid, n in zip(cids, orders)]
+        assert list(ng.build_digraph(g, lat, nims, dt).vertices) == vertices
