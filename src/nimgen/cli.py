@@ -131,6 +131,12 @@ def cmd_diagram(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.specs and args.suite:
+        print("error: pass specs or --suite, not both", file=sys.stderr)
+        return 2
+    if args.game and not args.specs:
+        print("error: --game applies to specs, not to a suite", file=sys.stderr)
+        return 2
     try:
         if args.specs:
             report = verify_family([AbelianSpec.from_spec(s) for s in args.specs],
@@ -329,12 +335,6 @@ def _parse_plain(argv: Sequence[str]) -> SimpleNamespace | None:
 def main(argv: Sequence[str] | None = None) -> int:
     args = (_parse_plain(sys.argv[1:] if argv is None else argv)
             or build_parser().parse_args(argv))
-    if args.command == "verify" and args.specs and args.suite:
-        print("error: pass specs or --suite, not both", file=sys.stderr)
-        return 2
-    if args.command == "verify" and args.game and not args.specs:
-        print("error: --game applies to specs, not to a suite", file=sys.stderr)
-        return 2
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -271,22 +271,9 @@ class Cyclic:
 
 @dataclass(frozen=True)
 class Product:
-    # A long x-chain is a deep left spine: compare, hash and repr in a loop.
-    left: "GroupSpec"
-    right: "GroupSpec"
+    """The direct product of two or more factors, left to right."""
 
-    def __eq__(self, other):
-        if other.__class__ is not Product:
-            return NotImplemented
-        return product_factors(self) == product_factors(other)
-
-    def __hash__(self):
-        return hash(tuple(product_factors(self)))
-
-    def __repr__(self):
-        first, *rest = product_factors(self)
-        return ("Product(left=" * len(rest) + repr(first)
-                + "".join(f", right={f!r})" for f in rest))
+    factors: tuple["GroupSpec", ...]
 
 
 @dataclass(frozen=True)
@@ -321,14 +308,13 @@ class _SpecParser:
             self.pos += 1
 
     def expr(self) -> GroupSpec:
-        spec = self.atom()
-        while True:
+        factors = [self.atom()]
+        self.skip_ws()
+        while self.pos < len(self.text) and self.text[self.pos] == "x":
+            self.pos += 1
+            factors.append(self.atom())
             self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] == "x":
-                self.pos += 1
-                spec = Product(spec, self.atom())
-            else:
-                return spec
+        return Product(tuple(factors)) if len(factors) > 1 else factors[0]
 
     def atom(self) -> GroupSpec:
         self.skip_ws()
@@ -362,7 +348,7 @@ class _SpecParser:
         if self.pos < len(text) and text[self.pos] == "Z":
             self.pos += 1
             start = self.pos
-            while self.pos < len(text) and text[self.pos].isdigit():
+            while self.pos < len(text) and text[self.pos] in "0123456789":
                 self.pos += 1
             if self.pos == start:
                 self.fail("expected digits after 'Z'")
@@ -389,17 +375,6 @@ def parse_group_spec(text: str) -> GroupSpec:
     return spec
 
 
-def product_factors(spec: GroupSpec) -> list[GroupSpec]:
-    """The factors of a left-nested product, left to right.  A loop down
-    the left spine, since a long ``x``-chain parses to a deep tree."""
-    factors = []
-    while isinstance(spec, Product):
-        factors.append(spec.right)
-        spec = spec.left
-    factors.append(spec)
-    return factors[::-1]
-
-
 def check_order_cap(order: int, order_cap: int | None) -> None:
     """Raise CapacityError if a group of ``order`` is over ``order_cap``
     (``None``: no cap); orders below 2 are left to the solvers to refuse."""
@@ -422,7 +397,7 @@ def build_group(spec: GroupSpec | str, order_cap: int | None = None) -> GroupTab
         check_order_cap(spec.n, order_cap)
         return build_cyclic(spec.n)
     if isinstance(spec, Product):
-        first, *rest = product_factors(spec)
+        first, *rest = spec.factors
         g = build_group(first, order_cap)
         for factor in rest:
             h = build_group(factor, order_cap)

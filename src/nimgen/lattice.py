@@ -15,7 +15,7 @@ holding it, and a class's intent is the set of maximals holding its carrier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from .groups import (GroupTable, check_order_cap, extend_subgroup, mask_of,
                      normal_closure, prime_factors, span, subgroup_walk)
@@ -162,11 +162,12 @@ class IntersectionLattice:
 
     group: GroupTable = field(repr=False, compare=False)
     intersections: tuple[int, ...]
-    frattini_index: int
     maximals: tuple[int, ...]
     sig: tuple[int, ...] = field(repr=False)
     options: tuple[tuple[int, ...], ...] = field(repr=False)
     intent_index: dict[int, int] = field(repr=False, compare=False)
+    # classes are numbered by carrier size, so the Frattini class comes first
+    frattini_index: ClassVar[int] = 0
 
     @property
     def frattini_mask(self) -> int:
@@ -224,8 +225,8 @@ def intersection_subgroups(g: GroupTable, *, order_cap: int = DEFAULT_ORDER_CAP)
     options = tuple(tuple(sorted(map(get, moves[by_carrier[c]]))) for c in carriers)
     del index[0]
     return IntersectionLattice(
-        group=g, intersections=tuple(carriers), frattini_index=0,
-        maximals=maxi, sig=tuple(sig), options=options, intent_index=index)
+        group=g, intersections=tuple(carriers), maximals=maxi,
+        sig=tuple(sig), options=options, intent_index=index)
 
 
 def ceil_class(lat: IntersectionLattice, g: GroupTable, mask: int) -> int:

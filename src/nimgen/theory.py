@@ -24,10 +24,10 @@ from .errors import CapacityError, OutOfScopeError
 from .groups import (
     Cyclic,
     GroupTable,
+    Product,
     build_group,
     parse_group_spec,
     prime_factors,
-    product_factors,
     subgroup_walk,
 )
 from .lattice import (
@@ -86,7 +86,8 @@ class AbelianSpec:
     def from_spec(cls, spec: str) -> "AbelianSpec":
         """The factors of a product of cyclic specs, left to right; any other
         spec is refused with a ValueError naming ``spec`` as given."""
-        factors = product_factors(parse_group_spec(spec))
+        parsed = parse_group_spec(spec)
+        factors = parsed.factors if isinstance(parsed, Product) else (parsed,)
         if not all(isinstance(f, Cyclic) for f in factors):
             raise ValueError(f"not a direct product of cyclic groups: {spec}")
         return cls(tuple(f.n for f in factors))

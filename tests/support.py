@@ -270,8 +270,7 @@ def reference_group(spec) -> ng.GroupTable:
     if isinstance(spec, Cyclic):
         return reference_cyclic(spec.n)
     if isinstance(spec, Product):
-        return reference_direct_product(reference_group(spec.left),
-                                        reference_group(spec.right))
+        return reduce(reference_direct_product, map(reference_group, spec.factors))
     assert isinstance(spec, Dih), spec
     return reference_dihedralize(reference_group(spec.inner))
 
@@ -460,8 +459,8 @@ def reference_intersection_subgroups(g: ng.GroupTable, *,
                     for c in carriers)
     del index[0]
     return IntersectionLattice(
-        group=g, intersections=tuple(carriers), frattini_index=0,
-        maximals=maxi, sig=tuple(sig), options=options, intent_index=index)
+        group=g, intersections=tuple(carriers), maximals=maxi,
+        sig=tuple(sig), options=options, intent_index=index)
 
 
 def reference_structure_nim(g: ng.GroupTable, lat: ng.IntersectionLattice,

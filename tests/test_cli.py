@@ -299,9 +299,11 @@ def test_verify_rejects_non_abelian_part(capsys):
 
 
 def test_verify_rejects_specs_plus_suite(capsys):
-    code, _, err = run(capsys, "verify", "Z5", "--suite", "dng")
-    assert code == 2
-    assert "not both" in err
+    # as a plain command line and through argparse, refused before any run
+    for argv in (["verify", "Z5", "--suite", "dng"],
+                 ["verify", "Z5", "Z7", "--suite=all", "--format", "json"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: pass specs or --suite, not both\n")
 
 
 @pytest.mark.parametrize("argv", [
